@@ -2,16 +2,18 @@
 
 Unlike the table benches (single-shot full experiments), these measure the
 hot inner pieces with pytest-benchmark's statistical machinery: multiplexer
-round-trips, PPM prediction throughput, SAX encoding, and a single
+round-trips, the PPM ingest/decode kernels, SAX encoding, and a single
 constrained forecast.
 """
 
 import numpy as np
+import pytest
 
 from repro.core import ForecastSpec, MultiCastForecaster, get_multiplexer
-from repro.data import gas_rate
+from repro.data import gas_rate, weather
 from repro.encoding import DigitCodec
-from repro.llm import PPMLanguageModel
+from repro.llm import PPMLanguageModel, get_model
+from repro.llm.state_cache import IngestStateCache
 from repro.sax import SaxAlphabet, SaxEncoder
 
 
@@ -27,17 +29,59 @@ def test_kernel_mux_roundtrip_di(benchmark):
     assert np.array_equal(result, codes)
 
 
-def test_kernel_ppm_ingest_and_predict(benchmark):
-    rng = np.random.default_rng(1)
-    context = rng.integers(0, 11, size=2000).tolist()
+def _paper_prompt() -> list[int]:
+    """Raw-digit tokens of a 120-row, 4-dim series, value-interleaved.
+
+    Three digits per value then a separator (id 10), as the ``vi`` scheme
+    serialises the paper's setting: 1560 tokens, past every ingest
+    checkpoint.
+    """
+    values = weather(n=120, seed=15).values
+    low, high = values.min(axis=0), values.max(axis=0)
+    codes = np.rint((values - low) / (high - low) * 999).astype(int)
+    tokens = []
+    for row in codes:
+        for value in row:
+            tokens += [int(digit) for digit in f"{value:03d}"] + [10]
+    return tokens
+
+
+@pytest.mark.parametrize("kernel", ["reset", "checkpointed_ingest", "generate_batch"])
+def test_kernel_ppm_ingest_and_predict(benchmark, kernel):
+    """The PPM-12 kernels a paper-setting request runs, one per case.
+
+    ``reset`` ingests the prompt in one chunk; ``checkpointed_ingest`` is
+    the ingest-cache miss path (chunks between doubling checkpoints, one
+    copy-on-write fork deposited per checkpoint); ``generate_batch`` is
+    one 5-stream, 156-token lockstep decode from a prefilled session.
+    """
+    context = _paper_prompt()
+    llm = get_model("llama2-7b-sim", vocab_size=11)
+    session = llm.prefill(context)
 
     def run():
-        model = PPMLanguageModel(vocab_size=11, max_order=12)
-        model.reset(context)
-        return model.next_distribution()
+        if kernel == "reset":
+            model = PPMLanguageModel(vocab_size=11, max_order=12)
+            model.reset(context)
+            return model.next_distribution()
+        if kernel == "checkpointed_ingest":
+            model = IngestStateCache().ingest(
+                llm.name, 11, context, PPMLanguageModel(vocab_size=11, max_order=12)
+            )
+            return model.next_distribution()
+        decoder = llm.generate_batch(
+            context,
+            156,
+            [np.random.default_rng(seed) for seed in range(5)],
+            session=session,
+        )
+        return np.array([len(result.tokens) for result in decoder.results])
 
-    probs = benchmark(run)
-    assert probs.sum() > 0.99
+    result = benchmark(run)
+    if kernel == "generate_batch":
+        assert result.tolist() == [156] * 5
+    else:
+        assert result.sum() > 0.99
 
 
 def test_kernel_ppm_generation_throughput(benchmark):

@@ -381,16 +381,20 @@ def _check_constraint_soundness(case: FuzzCase) -> str | None:
 def _check_decode_equivalence(case: FuzzCase) -> str | None:
     """Batched lockstep decoding must match per-stream decoding bit for bit.
 
-    Draws a random prompt over the case's vocabulary, a grammar constraint
-    half the time, 2–4 streams with heterogeneous token budgets, and one
-    registered simulated model — then decodes the ensemble once through
+    Draws a random prompt of up to 300 tokens over the case's vocabulary,
+    a grammar constraint half the time, 2–4 streams with heterogeneous
+    token budgets, and one registered simulated model — then decodes the
+    ensemble once through
     :meth:`~repro.llm.simulated.SimulatedLLM.generate_batch` and once
     stream-by-stream through :meth:`~repro.llm.simulated.SimulatedLLM.generate`
     with the same seed-derived generators, asserting exact equality of
-    tokens *and* log-probs.
+    tokens *and* log-probs.  Half the cases prefill the batched side
+    through an :class:`~repro.llm.state_cache.IngestStateCache` in split
+    extends while the sequential side ingests the prompt in one go.
     """
     from repro.llm.sampling import child_seeds
     from repro.llm.simulated import available_models, get_model
+    from repro.llm.state_cache import IngestStateCache
 
     codec = make_codec(case)
     width = codec.num_digits
@@ -416,19 +420,33 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
         )
         constraint = PeriodicPatternConstraint(pattern)
 
-    prompt_length = int(rng.integers(1, min(60, 4 * max(1, case.num_steps)) + 1))
+    # Up to 300 tokens, so long prompts cross the 16..256 ingest checkpoints.
+    prompt_length = int(rng.integers(1, min(300, 8 * max(1, case.num_steps)) + 1))
     prompt = [int(t) for t in rng.integers(0, vocab_size, size=prompt_length)]
     num_streams = 2 + case.seed % 3
     budgets = [int(b) for b in rng.integers(0, 13, size=num_streams)]
     seeds = child_seeds(rng, num_streams)
 
     session = model.prefill(prompt)
+    batched_session = session
+    if (case.seed // 2) % 2 and prompt_length > 1:
+        # Prefill the batched side through an ingest cache in growing
+        # pieces: each prefill extends a fork of the previous cached state
+        # (chunked counts on a copy-on-write table) and deposits
+        # checkpoints on the way.
+        cache = IngestStateCache()
+        cuts = sorted({int(c) for c in rng.integers(1, prompt_length, size=3)})
+        for cut in cuts:
+            model.prefill(prompt[:cut], state_cache=cache)
+        batched_session = model.prefill(prompt, state_cache=cache)
+        if batched_session.outcome != "extend":
+            return f"split prefill resolved as {batched_session.outcome!r}"
     decoder = model.generate_batch(
         prompt,
         budgets,
         [np.random.default_rng(s) for s in seeds],
         constraint=constraint,
-        session=session,
+        session=batched_session,
     )
     for index, (seed, budget) in enumerate(zip(seeds, budgets)):
         expected = model.generate(

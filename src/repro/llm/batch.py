@@ -22,14 +22,20 @@ Two substrate properties make this cheap *and* exact:
   the whole decode at low temperatures — the batch collapses to a
   handful of groups, which is where the ≥3× win over the pooled path
   comes from (see ``benchmarks/bench_batching.py``).
-* **Bit-identity** — every stream samples through the same
-  :func:`~repro.llm.sampling.sample_from_distribution` routine, with the
-  same per-stream generator the sequential path would use, from a
-  distribution row that is bit-identical to a per-stream
-  ``next_distribution()`` call.  Batched output therefore equals the
-  sequential and pooled paths token for token and log-prob for log-prob
-  (pinned by ``tests/test_batched_decoding.py`` and the
-  ``decode_equivalence`` fuzz family).
+* **Bit-identity** — every stream samples from a distribution row that
+  is bit-identical to a per-stream ``next_distribution()`` call, with
+  the same per-stream generator the sequential path would use.  The
+  deterministic half of sampling
+  (:func:`~repro.llm.sampling.filter_distribution`) runs once per group,
+  and :func:`~repro.llm.sampling.draw_tokens` then draws every stream of
+  the group from one shared CDF: it replays ``Generator.choice``'s own
+  algorithm (one ``rng.random()`` and a right bisect per stream), so each
+  generator is consumed exactly as
+  :func:`~repro.llm.sampling.sample_from_distribution` consumes it.
+  Batched output therefore equals the sequential and pooled paths token
+  for token and log-prob for log-prob (pinned by
+  ``tests/test_batched_decoding.py`` and the ``decode_equivalence`` fuzz
+  family).
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 from repro.exceptions import GenerationError
 from repro.llm.constraints import Constraint
 from repro.llm.interface import GenerationResult, LanguageModel
-from repro.llm.sampling import filter_distribution, mask_for_ids
+from repro.llm.sampling import draw_tokens, filter_distribution, mask_for_ids
 from repro.observability.spans import NULL_TRACER
 
 __all__ = ["BatchedDecoder"]
@@ -237,14 +243,12 @@ class BatchedDecoder:
                         top_p=self._top_p,
                         allowed_mask=mask,
                     )
-                    size = p.size
+                    tokens = draw_tokens(
+                        p, [stream.rng for stream in group.streams], greedy
+                    )
                     buckets: dict[int, list[_Stream]] = {}
                     drawn: dict[int, float] = {}
-                    for stream in group.streams:
-                        if greedy:
-                            token = int(np.argmax(p))
-                        else:
-                            token = int(stream.rng.choice(size, p=p))
+                    for stream, token in zip(group.streams, tokens):
                         members = buckets.get(token)
                         if members is None:
                             buckets[token] = [stream]

@@ -67,6 +67,17 @@ class LanguageModel(ABC):
     def advance(self, token: int) -> None:
         """Append ``token`` to the session and update internal structure."""
 
+    def extend(self, tokens: Sequence[int]) -> None:
+        """Append every token of ``tokens`` in order, as :meth:`advance` would.
+
+        The ingest paths (prompt reset, cache extension, checkpointed
+        prefill) feed whole chunks through here, so substrates that can
+        count a chunk at once (PPM) override it; the result must equal
+        per-token :meth:`advance`.
+        """
+        for token in tokens:
+            self.advance(int(token))
+
     @classmethod
     def next_distribution_batch(
         cls, models: Sequence["LanguageModel"]

@@ -18,13 +18,23 @@ where ``s_k`` is the length-``k`` suffix, ``c`` are continuation counts and
 order ``max_order`` down to order 0 and finally a uniform floor, so every
 token always has non-zero probability.
 
-The context index is *incremental*: ingesting the prompt is O(n · max_order)
-dictionary updates and every generated token costs O(max_order), which keeps
-full benchmark sweeps fast.
+The context index is *incremental* and keyed by integers: a suffix
+``(t_{n-k}, ..., t_{n-1})`` is the base-``V+1`` number whose digits are the
+tokens plus one, most recent token least significant, so suffixes of every
+order share one table without colliding.  The model keeps the ids of the
+current suffixes of length ``1..max_order`` and rolls them forward on each
+token (``id_k' = id_{k-1}·(V+1) + (t+1)``), so :meth:`~PPMLanguageModel.
+advance` and scoring cost O(max_order) integer and dictionary operations
+per token.  :meth:`~PPMLanguageModel.extend` ingests a whole chunk at once:
+it builds every (suffix id, token) pair of the chunk with int64 numpy and
+tallies them in one pass, so prompt ingest is O(n · max_order) array work
+plus one dictionary update per distinct pair, instead of O(n · max_order²)
+element copies into suffix tuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -34,54 +44,15 @@ from repro.llm.interface import LanguageModel
 
 __all__ = ["PPMLanguageModel"]
 
+_INT64_MAX = 2**63 - 1
 
-class _ContextCounts:
-    """Continuation counts for one context order: suffix-tuple -> counts.
-
-    Cloning is copy-on-write: a clone shares the parent's per-suffix count
-    dicts and copies one only when it is first mutated afterwards.  That
-    makes :meth:`clone` a single C-level shallow dict copy — O(1) per entry
-    instead of O(tokens) — which is what keeps fork-after-prefill cheap,
-    while a decode that advances ``m`` tokens privatises only the ``m ×
-    max_order`` entries it actually touches.  ``_owned`` is ``None`` until
-    the first clone (never-forked models skip the ownership check entirely)
-    and afterwards holds the suffixes whose count dicts this instance owns.
-    """
-
-    __slots__ = ("table", "_owned")
-
-    def __init__(self) -> None:
-        self.table: dict[tuple[int, ...], dict[int, int]] = {}
-        self._owned: set[tuple[int, ...]] | None = None
-
-    def observe(self, suffix: tuple[int, ...], token: int) -> None:
-        table = self.table
-        counts = table.get(suffix)
-        owned = self._owned
-        if counts is None:
-            counts = table[suffix] = {}
-            if owned is not None:
-                owned.add(suffix)
-        elif owned is not None and suffix not in owned:
-            counts = table[suffix] = dict(counts)
-            owned.add(suffix)
-        counts[token] = counts.get(token, 0) + 1
-
-    def get(self, suffix: tuple[int, ...]) -> dict[int, int] | None:
-        return self.table.get(suffix)
-
-    def clone(self) -> "_ContextCounts":
-        """An independent copy sharing count dicts until either side writes.
-
-        Both parent and clone drop ownership of every shared entry, so
-        mutation on *either* side privatises before writing — the two never
-        observe each other's updates.
-        """
-        fresh = _ContextCounts()
-        fresh.table = dict(self.table)
-        fresh._owned = set()
-        self._owned = set()
-        return fresh
+#: numpy releases the GIL for a ufunc loop over more than 500 elements.
+#: With another request thread decoding in Python, each release can cost
+#: the ingesting thread a whole interpreter switch interval, so bulk ingest
+#: keeps every loop at or below this length, and tallies with
+#: ``collections.Counter`` instead of ``np.unique``/``np.bincount``
+#: (which release it at any length).
+_GIL_FREE_LOOP = 500
 
 
 class PPMLanguageModel(LanguageModel):
@@ -97,6 +68,12 @@ class PPMLanguageModel(LanguageModel):
     uniform_floor:
         Weight left for the uniform distribution after the order-0 escape —
         keeps the model proper and mildly exploratory.
+
+    The continuation counts live in one table, suffix id -> {token: count},
+    shared copy-on-write between a model and its forks: ``_owned`` is
+    ``None`` until the first fork (never-forked models skip the ownership
+    check entirely) and afterwards holds the suffix ids whose count dicts
+    this instance owns; any other entry is copied before its first write.
     """
 
     def __init__(
@@ -114,29 +91,34 @@ class PPMLanguageModel(LanguageModel):
             )
         self.max_order = max_order
         self.uniform_floor = uniform_floor
-        self._orders: list[_ContextCounts] = []
+        self._radix = vocab_size + 1
+        # Bulk ingest packs (suffix id, token) into one int64 key; the
+        # largest key is below (V+1)^K · V.
+        self._bulk = self._radix**max_order * vocab_size <= _INT64_MAX
+        self._table: dict[int, dict[int, int]] = {}
+        self._owned: set[int] | None = None
+        self._suffix_ids: list[int] = []
         self._zero_counts = np.zeros(vocab_size, dtype=float)
-        self._history: list[int] = []
 
     # -- session protocol ---------------------------------------------------
 
     def reset(self, context: Sequence[int]) -> None:
         """Rebuild the context index from scratch and ingest ``context``."""
-        self._orders = [_ContextCounts() for _ in range(self.max_order + 1)]
+        self._table = {}
+        self._owned = None
+        self._suffix_ids = []
         self._zero_counts = np.zeros(self.vocab_size, dtype=float)
-        self._history = []
-        for token in context:
-            self.advance(int(token))
+        self.extend(context)
 
     def fork(self) -> "PPMLanguageModel":
-        """Copy-on-write fork: per-order tables share counts until written.
+        """Copy-on-write fork: the suffix table shares counts until written.
 
         Orders of magnitude faster than re-ingesting the prompt (one
-        shallow dict copy per order instead of per-token Python suffix
-        updates), and observationally independent — writes on either side
-        privatise the touched entry first, so the continuation counts of
-        parent and fork never influence each other.  Subclasses keep the
-        base deepcopy (their extra state is unknown here).
+        shallow copy of the suffix table instead of per-token updates),
+        and observationally independent — writes on either side privatise
+        the touched entry first, so the continuation counts of parent and
+        fork never influence each other.  Subclasses keep the base
+        deepcopy (their extra state is unknown here).
         """
         if type(self) is not PPMLanguageModel:
             return super().fork()
@@ -145,32 +127,132 @@ class PPMLanguageModel(LanguageModel):
             max_order=self.max_order,
             uniform_floor=self.uniform_floor,
         )
-        fresh._orders = [order.clone() for order in self._orders]
+        fresh._table = dict(self._table)
+        fresh._owned = set()
+        self._owned = set()
+        fresh._suffix_ids = list(self._suffix_ids)
         fresh._zero_counts = self._zero_counts.copy()
-        fresh._history = list(self._history)
         return fresh
 
     def advance(self, token: int) -> None:
         """Record ``token``'s continuation at every suffix order."""
         self._check_token(token)
-        history = self._history
-        n = len(history)
-        # Record the continuation for every suffix order ending here.
+        table = self._table
+        owned = self._owned
+        suffix_ids = self._suffix_ids
+        for suffix_id in suffix_ids:
+            counts = table.get(suffix_id)
+            if counts is None:
+                table[suffix_id] = {token: 1}
+                if owned is not None:
+                    owned.add(suffix_id)
+                continue
+            if owned is not None and suffix_id not in owned:
+                counts = table[suffix_id] = dict(counts)
+                owned.add(suffix_id)
+            counts[token] = counts.get(token, 0) + 1
         self._zero_counts[token] += 1.0
-        for k in range(1, min(self.max_order, n) + 1):
-            suffix = tuple(history[n - k :])
-            self._orders[k].observe(suffix, token)
-        history.append(token)
+        if self.max_order:
+            digit = token + 1
+            radix = self._radix
+            self._suffix_ids = [digit] + [
+                s * radix + digit for s in suffix_ids[: self.max_order - 1]
+            ]
 
-    def _escape_cascade(self, result: np.ndarray) -> float:
-        """Accumulate orders ``max_order..1`` into ``result``; return the
-        escape weight left for the order-0/uniform tail."""
-        history = self._history
-        n = len(history)
+    def extend(self, tokens: Sequence[int]) -> None:
+        """Ingest ``tokens`` in bulk; same state as ``advance`` per token.
+
+        Every (suffix id, token) pair of the chunk is packed into one
+        int64 key with numpy, one level per order, and the keys are
+        tallied at once.  Counts are integers, so the table ends up equal
+        to per-token :meth:`advance` whatever the order of the tally.
+        Vocabularies whose packed keys could overflow int64, and chunks
+        holding an invalid id (which must raise at the same token as
+        :meth:`advance` does), take the per-token path.
+        """
+        values = [int(token) for token in tokens]
+        if (
+            not self._bulk
+            or len(values) < 2
+            or min(values) < 0
+            or max(values) >= self.vocab_size
+        ):
+            for token in values:
+                self.advance(token)
+            return
+        piece = _GIL_FREE_LOOP - self.max_order
+        for start in range(0, len(values), piece):
+            self._count_piece(values[start : start + piece])
+
+    def _count_piece(self, values: list[int]) -> None:
+        """Bulk-count ``values`` (valid ids, short enough that every numpy
+        loop below spans at most ``_GIL_FREE_LOOP`` elements)."""
+        size = self.vocab_size
+        radix = self._radix
+        suffix_ids = self._suffix_ids
+        # The last len(suffix_ids) tokens, oldest first, read off the
+        # longest suffix id's digits.
+        tail: list[int] = []
+        if suffix_ids:
+            longest = suffix_ids[-1]
+            for _ in suffix_ids:
+                longest, digit = divmod(longest, radix)
+                tail.append(digit - 1)
+            tail.reverse()
+        lead = len(tail)
+        history = tail + values
+        seq = np.array(history, dtype=np.int64)
+        digits = seq + 1
+        total = seq.size
+        # level[j] is the id of the length-k suffix ending at seq[j + k - 1],
+        # i.e. the context of seq[j + k]; keep the pairs whose token lies in
+        # the piece.
+        tally: Counter[int] = Counter()
+        level = digits[: total - 1]
+        for k in range(1, self.max_order + 1):
+            if k > 1:
+                level = digits[k - 1 : total - 1] + radix * level[: total - k]
+            if level.size == 0:
+                break
+            start = max(lead, k)
+            tally.update((level[start - k :] * size + seq[start:]).tolist())
+        table = self._table
+        owned = self._owned
+        for key, n in tally.items():
+            suffix_id, token = divmod(key, size)
+            entry = table.get(suffix_id)
+            if entry is None:
+                table[suffix_id] = {token: n}
+                if owned is not None:
+                    owned.add(suffix_id)
+                continue
+            if owned is not None and suffix_id not in owned:
+                entry = table[suffix_id] = dict(entry)
+                owned.add(suffix_id)
+            entry[token] = entry.get(token, 0) + n
+        zero_counts = self._zero_counts
+        for token, n in Counter(values).items():
+            zero_counts[token] += n
+        ids: list[int] = []
+        suffix_id = 0
+        scale = 1
+        for token in reversed(history[max(0, len(history) - self.max_order) :]):
+            suffix_id += (token + 1) * scale
+            scale *= radix
+            ids.append(suffix_id)
+        self._suffix_ids = ids
+
+    def _escape_cascade(self) -> tuple[list[float], float]:
+        """Orders ``max_order..1`` summed into a length-V list, plus the
+        escape weight left for the order-0/uniform tail.
+
+        Python floats round exactly as float64 array elements do, and the
+        list avoids a numpy scalar round trip per count."""
+        table = self._table
+        result = [0.0] * self.vocab_size
         weight = 1.0
-        for k in range(min(self.max_order, n), 0, -1):
-            suffix = tuple(history[n - k :])
-            counts = self._orders[k].get(suffix)
+        for suffix_id in reversed(self._suffix_ids):
+            counts = table.get(suffix_id)
             if not counts:
                 continue
             total = sum(counts.values())
@@ -181,7 +263,7 @@ class PPMLanguageModel(LanguageModel):
             weight *= distinct / denom
             if weight < 1e-12:
                 break
-        return weight
+        return result, weight
 
     def _order0_tail(self, result: np.ndarray, weight: float) -> np.ndarray:
         """Order-0 unigram escape plus the uniform floor and normalisation."""
@@ -197,9 +279,8 @@ class PPMLanguageModel(LanguageModel):
 
     def next_distribution(self) -> np.ndarray:
         """PPM-C escape cascade from the longest matching suffix down."""
-        result = np.zeros(self.vocab_size, dtype=float)
-        weight = self._escape_cascade(result)
-        return self._order0_tail(result, weight)
+        row, weight = self._escape_cascade()
+        return self._order0_tail(np.array(row), weight)
 
     @classmethod
     def next_distribution_batch(
@@ -219,10 +300,9 @@ class PPMLanguageModel(LanguageModel):
         size = models[0].vocab_size
         if any(model.vocab_size != size for model in models):
             return super().next_distribution_batch(models)
-        result = np.zeros((len(models), size), dtype=float)
-        weights = np.empty(len(models), dtype=float)
-        for i, model in enumerate(models):
-            weights[i] = model._escape_cascade(result[i])
+        rows, cascade_weights = zip(*(model._escape_cascade() for model in models))
+        result = np.array(rows)
+        weights = np.array(cascade_weights)
         totals = np.array([float(m._zero_counts.sum()) for m in models])
         if not np.all(totals > 0.0):
             # Empty-context rows take the scalar tail (rare outside tests).

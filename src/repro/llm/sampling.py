@@ -17,7 +17,9 @@ execution exactly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -25,11 +27,15 @@ from repro.exceptions import GenerationError
 
 __all__ = [
     "sample_from_distribution",
+    "draw_tokens",
     "filter_distribution",
     "mask_for_ids",
     "child_seeds",
     "child_generators",
 ]
+
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1`` for float64 ``p``.
+_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def child_seeds(rng: np.random.Generator, n: int) -> list[int]:
@@ -181,8 +187,36 @@ def sample_from_distribution(
         allowed_ids=allowed_ids,
         allowed_mask=allowed_mask,
     )
-    if greedy:
-        token = int(np.argmax(p))
-        return token, float(p[token])
-    token = int(rng.choice(p.size, p=p))
+    (token,) = draw_tokens(p, [rng], greedy=greedy)
     return token, float(p[token])
+
+
+def draw_tokens(
+    p: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    greedy: bool = False,
+) -> list[int]:
+    """One token per generator from one filtered distribution ``p``.
+
+    Replays ``Generator.choice(p.size, p=p)``'s own algorithm — the same
+    validation of ``p`` (no NaN, non-negative, summing to 1 within
+    √eps), then ``cdf = p.cumsum(); cdf /= cdf[-1]`` and a right bisect of
+    one ``rng.random()`` per generator — but builds the CDF once for every
+    stream sharing the row.  Each generator is consumed exactly as its own
+    ``choice`` call would consume it, so the tokens match draw for draw.
+    ``greedy`` (see :func:`filter_distribution`) returns the argmax for
+    every stream without touching the generators.
+    """
+    if greedy:
+        return [int(np.argmax(p))] * len(rngs)
+    total = math.fsum(p.tolist())
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_TOLERANCE:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    bounds = cdf.tolist()
+    return [bisect_right(bounds, rng.random()) for rng in rngs]

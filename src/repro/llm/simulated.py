@@ -174,8 +174,7 @@ class SimulatedLLM:
                 ingested = 0
             elif lookup is not None and lookup.outcome == "extend":
                 model = lookup.model  # already a private fork
-                for token in prompt[lookup.matched :]:
-                    model.advance(token)
+                model.extend(prompt[lookup.matched :])
                 ingested = len(prompt) - lookup.matched
                 cache.put(self.name, self.vocab_size, prompt, model)
             else:

@@ -218,9 +218,9 @@ class IngestStateCache:
         """Ingest ``tokens`` into a *fresh* ``model``, depositing checkpoints.
 
         The miss-path counterpart of :meth:`get`: the prompt is ingested in
-        full (bit-identical to ``model.reset(tokens)`` — incremental
-        ``advance`` after a prefix ``reset`` is the same contract the
-        extend path already relies on), but frozen snapshots are deposited
+        full (bit-identical to ``model.reset(tokens)`` — ``extend`` after
+        a prefix ``reset`` is the same contract the extend path already
+        relies on), but frozen snapshots are deposited
         at :func:`checkpoint_lengths` boundaries along the way, plus the
         full prompt.  A later query for any *shorter* prefix of this
         prompt then resolves to the longest cached checkpoint at or below
@@ -239,15 +239,13 @@ class IngestStateCache:
             if cursor == 0:
                 model.reset(prompt[:boundary])
             else:
-                for token in prompt[cursor:boundary]:
-                    model.advance(token)
+                model.extend(prompt[cursor:boundary])
             cursor = boundary
             self.put(model_name, vocab_size, prompt[:boundary], model.fork())
         if cursor == 0:
             model.reset(prompt)
         else:
-            for token in prompt[cursor:]:
-                model.advance(token)
+            model.extend(prompt[cursor:])
         self.put(model_name, vocab_size, prompt, model)
         return model
 

@@ -384,8 +384,7 @@ class RadixPrefillTree:
                 if cursor == 0:
                     model.reset(prompt[:boundary])
                 else:
-                    for token in prompt[cursor:boundary]:
-                        model.advance(token)
+                    model.extend(prompt[cursor:boundary])
                 cursor = boundary
                 deposit = model if boundary == len(prompt) else model.fork()
                 self.insert(model_name, vocab_size, prompt[:boundary], deposit)

@@ -38,7 +38,7 @@ import numpy as np
 from repro.exceptions import GenerationError
 from repro.llm.constraints import Constraint
 from repro.llm.interface import GenerationResult, LanguageModel
-from repro.llm.sampling import filter_distribution, mask_for_ids
+from repro.llm.sampling import draw_tokens, filter_distribution, mask_for_ids
 from repro.llm.simulated import SimulatedLLM
 from repro.observability.spans import NULL_TRACER
 from repro.scheduling.radix import RadixPrefillTree
@@ -472,14 +472,12 @@ class ContinuousScheduler:
                     top_p=job.top_p,
                     allowed_mask=job.mask_at(job.position),
                 )
-                size = p.size
+                tokens = draw_tokens(
+                    p, [stream.rng for stream in group.streams], greedy
+                )
                 buckets: dict[int, list[_Stream]] = {}
                 drawn: dict[int, float] = {}
-                for stream in group.streams:
-                    if greedy:
-                        token = int(np.argmax(p))
-                    else:
-                        token = int(stream.rng.choice(size, p=p))
+                for stream, token in zip(group.streams, tokens):
                     members = buckets.get(token)
                     if members is None:
                         buckets[token] = [stream]

@@ -22,6 +22,10 @@ keys by content digest and stops at the longest hit.
 Robustness contract: writes are atomic (temp file + ``os.replace``), and
 a load that fails for *any* reason — truncated file from a killed worker,
 pickle drift, concurrent eviction — deletes the entry and reports a miss.
+An entry is a small header pickle followed by the model pickle; the header
+carries :data:`SPILL_FORMAT`, and an entry whose stamp differs (written by
+code with another model state layout, which could unpickle cleanly and
+only fail mid-decode) is dropped the same way, before its model is read.
 A corrupt spill tier can cost re-ingest work but can never poison a
 forecast or crash a worker.  Multiple worker processes share one
 directory without coordination; every cross-process race collapses to
@@ -31,6 +35,7 @@ directory without coordination; every cross-process race collapses to
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import threading
@@ -44,6 +49,11 @@ from repro.llm.state_cache import checkpoint_lengths
 __all__ = ["SpillStore"]
 
 _SUFFIX = ".spill"
+
+#: Stamp of the pickled model state layout.  Bump it whenever a model's
+#: state attributes change, so entries written before the change miss.
+#: 2: PPM counts in one table keyed by integer suffix id.
+SPILL_FORMAT = 2
 
 
 class SpillStore:
@@ -110,9 +120,9 @@ class SpillStore:
             return
         path = self._path(model_name, vocab_size, prompt)
         payload = pickle.dumps(
-            (model_name, int(vocab_size), prompt, model),
+            (SPILL_FORMAT, model_name, int(vocab_size), prompt),
             protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        ) + pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
         temp = path.with_suffix(f".tmp-{os.getpid()}-{threading.get_ident()}")
         try:
             temp.write_bytes(payload)
@@ -170,15 +180,14 @@ class SpillStore:
         except OSError:
             return None
         try:
-            stored_name, stored_vocab, stored_tokens, model = pickle.loads(payload)
-            if (stored_name, stored_vocab, stored_tokens) != (
-                model_name,
-                int(vocab_size),
-                tokens,
-            ):
-                raise ValueError("spill key mismatch (digest collision?)")
+            stream = io.BytesIO(payload)
+            header = pickle.load(stream)
+            if header != (SPILL_FORMAT, model_name, int(vocab_size), tokens):
+                raise ValueError("spill format or key mismatch")
+            model = pickle.load(stream)
         except Exception:
-            # Truncated write, pickle drift, tampering: drop and miss.
+            # Truncated write, stale format, pickle drift, tampering or a
+            # digest collision: drop and miss.
             with self._lock:
                 self._corrupt_dropped += 1
             try:

@@ -18,6 +18,7 @@ from repro.llm import (
     register_model,
     sample_from_distribution,
 )
+from repro.llm.sampling import draw_tokens, filter_distribution
 
 
 class TestSampling:
@@ -103,6 +104,78 @@ class TestSampling:
     def test_all_zero_distribution_raises(self):
         with pytest.raises(GenerationError):
             sample_from_distribution(np.zeros(3), np.random.default_rng(0))
+
+
+class TestDrawTokens:
+    """``draw_tokens`` must consume each generator as ``Generator.choice``."""
+
+    @staticmethod
+    def _rows(rng, count):
+        for _ in range(count):
+            size = int(rng.integers(2, 40))
+            raw = rng.random(size) ** float(rng.choice([1.0, 8.0, 60.0]))
+            raw[rng.random(size) < 0.3] = 0.0
+            if rng.random() < 0.2:
+                raw[int(rng.integers(size))] = 1e-300  # near-zero entry
+            if rng.random() < 0.1:
+                raw[:] = 0.0  # all mass masked: uniform over the mask
+            mask = rng.random(size) < 0.7
+            mask[int(rng.integers(size))] = True
+            yield raw, mask
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.5, 1.7])
+    def test_matches_generator_choice(self, temperature):
+        master = np.random.default_rng(int(temperature * 10))
+        for raw, mask in self._rows(master, 400):
+            p, greedy = filter_distribution(
+                raw, temperature=temperature, allowed_mask=mask
+            )
+            assert not greedy
+            seeds = master.integers(0, 2**63, size=6)
+            expected = [
+                int(np.random.default_rng(s).choice(p.size, p=p)) for s in seeds
+            ]
+            rngs = [np.random.default_rng(s) for s in seeds]
+            assert draw_tokens(p, rngs) == expected
+            # Every generator is left exactly where choice leaves it.
+            after = [np.random.default_rng(s) for s in seeds]
+            for rng in after:
+                rng.choice(p.size, p=p)
+            assert [r.random() for r in rngs] == [r.random() for r in after]
+
+    def test_greedy_takes_argmax_and_leaves_generators_alone(self):
+        p, greedy = filter_distribution(np.array([0.2, 0.5, 0.3]), temperature=0.0)
+        assert greedy
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        assert draw_tokens(p, rngs, greedy=True) == [1, 1, 1]
+        assert [r.random() for r in rngs] == [
+            np.random.default_rng(s).random() for s in range(3)
+        ]
+
+    @pytest.mark.parametrize(
+        "p,message",
+        [
+            (np.array([0.5, np.nan]), "NaN"),
+            (np.array([1.5, -0.5]), "non-negative"),
+            (np.array([0.5, 0.4]), "sum to 1"),
+        ],
+    )
+    def test_rejects_what_choice_rejects(self, p, message):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(p.size, p=p)
+        with pytest.raises(ValueError, match=message):
+            draw_tokens(p, [np.random.default_rng(0)])
+
+    def test_sample_from_distribution_matches_choice(self):
+        rng = np.random.default_rng(5)
+        for raw, mask in self._rows(rng, 200):
+            seed = int(rng.integers(2**63))
+            token, prob = sample_from_distribution(
+                raw, np.random.default_rng(seed), allowed_mask=mask
+            )
+            p, _ = filter_distribution(raw, allowed_mask=mask)
+            assert token == int(np.random.default_rng(seed).choice(p.size, p=p))
+            assert prob == float(p[token])
 
 
 class TestConstraints:

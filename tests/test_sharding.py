@@ -170,6 +170,61 @@ def test_corrupt_spill_entry_is_dropped_not_raised(tmp_path):
     assert not path.exists()
 
 
+def _old_layout_ppm(prompt):
+    """A PPM model as pickled before counts moved to integer suffix ids.
+
+    It unpickles without error under the current class, then fails on its
+    first scoring call — the stale-entry hazard the format stamp closes.
+    """
+    from types import SimpleNamespace
+
+    from repro.llm import PPMLanguageModel
+
+    model = PPMLanguageModel.__new__(PPMLanguageModel)
+    model.__dict__.update(
+        vocab_size=11,
+        max_order=2,
+        uniform_floor=1e-3,
+        _orders=[SimpleNamespace(table={}, _owned=None) for _ in range(3)],
+        _zero_counts=np.ones(11),
+        _history=list(prompt),
+    )
+    return model
+
+
+def test_spill_entry_in_the_old_layout_misses(tmp_path):
+    import pickle
+
+    spill = SpillStore(tmp_path, max_tokens=10_000)
+    prompt = tuple(i % 11 for i in range(20))
+    stale = _old_layout_ppm(prompt)
+    with pytest.raises(AttributeError):
+        pickle.loads(pickle.dumps(stale)).next_distribution()
+    path = spill._path("llama2-7b-sim", 11, prompt)
+    path.write_bytes(pickle.dumps(("llama2-7b-sim", 11, prompt, stale)))
+    assert spill.fetch("llama2-7b-sim", 11, prompt) == (None, 0)
+    assert spill.stats["corrupt_dropped"] == 1
+    assert not path.exists()
+
+
+def test_spill_entry_with_another_format_stamp_misses(tmp_path):
+    import pickle
+
+    from repro.sharding import spill as spill_module
+
+    spill = SpillStore(tmp_path, max_tokens=10_000)
+    prompt = tuple(range(20))
+    path = spill._path(MODEL_NAME, VOCAB, prompt)
+    header = (spill_module.SPILL_FORMAT - 1, MODEL_NAME, VOCAB, prompt)
+    path.write_bytes(pickle.dumps(header) + pickle.dumps(_prefilled(prompt)))
+    assert spill.fetch(MODEL_NAME, VOCAB, prompt) == (None, 0)
+    assert spill.stats["corrupt_dropped"] == 1
+    # The same entry under the current stamp is served.
+    spill.store(MODEL_NAME, VOCAB, prompt, _prefilled(prompt))
+    model, matched = spill.fetch(MODEL_NAME, VOCAB, prompt)
+    assert model is not None and matched == len(prompt)
+
+
 def test_spill_evicts_oldest_down_to_token_budget(tmp_path):
     spill = SpillStore(tmp_path, max_tokens=50)
     for start in (0, 1000, 2000, 3000):
