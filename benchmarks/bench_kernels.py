@@ -12,7 +12,7 @@ import pytest
 from repro.core import ForecastSpec, MultiCastForecaster, get_multiplexer
 from repro.data import gas_rate, weather
 from repro.encoding import DigitCodec
-from repro.llm import PPMLanguageModel, get_model
+from repro.llm import PeriodicPatternConstraint, PPMLanguageModel, get_model
 from repro.llm.state_cache import IngestStateCache
 from repro.sax import SaxAlphabet, SaxEncoder
 
@@ -32,9 +32,9 @@ def test_kernel_mux_roundtrip_di(benchmark):
 def _paper_prompt() -> list[int]:
     """Raw-digit tokens of a 120-row, 4-dim series, value-interleaved.
 
-    Three digits per value then a separator (id 10), as the ``vi`` scheme
-    serialises the paper's setting: 1560 tokens, past every ingest
-    checkpoint.
+    Three digits per value, the row's four values back to back, then a
+    separator (id 10), as the ``vi`` scheme serialises the paper's
+    setting: 1560 tokens, past every ingest checkpoint.
     """
     values = weather(n=120, seed=15).values
     low, high = values.min(axis=0), values.max(axis=0)
@@ -42,7 +42,9 @@ def _paper_prompt() -> list[int]:
     tokens = []
     for row in codes:
         for value in row:
-            tokens += [int(digit) for digit in f"{value:03d}"] + [10]
+            tokens += [int(digit) for digit in f"{value:03d}"]
+        tokens.append(10)
+    assert len(tokens) == 1560
     return tokens
 
 
@@ -53,11 +55,16 @@ def test_kernel_ppm_ingest_and_predict(benchmark, kernel):
     ``reset`` ingests the prompt in one chunk; ``checkpointed_ingest`` is
     the ingest-cache miss path (chunks between doubling checkpoints, one
     copy-on-write fork deposited per checkpoint); ``generate_batch`` is
-    one 5-stream, 156-token lockstep decode from a prefilled session.
+    one 5-stream, 156-token lockstep decode from a prefilled session under
+    the paper's ``vi`` grammar, so it times the masked step and the
+    forced separator slots.
     """
     context = _paper_prompt()
     llm = get_model("llama2-7b-sim", vocab_size=11)
     session = llm.prefill(context)
+    grammar = PeriodicPatternConstraint(
+        get_multiplexer("vi").constraint_pattern(4, 3, frozenset(range(10)), 10)
+    )
 
     def run():
         if kernel == "reset":
@@ -73,6 +80,7 @@ def test_kernel_ppm_ingest_and_predict(benchmark, kernel):
             context,
             156,
             [np.random.default_rng(seed) for seed in range(5)],
+            constraint=grammar,
             session=session,
         )
         return np.array([len(result.tokens) for result in decoder.results])

@@ -62,6 +62,26 @@ _TAME_MAGNITUDE = 1e100
 #: cancels catastrophically once the offset dwarfs the spread.
 _SAX_CANCELLATION_RATIO = 1e12
 
+#: Decode temperatures the equivalence families draw: greedy, sharpened,
+#: neutral and flattened — each a different branch of the filter.
+_DECODE_TEMPERATURES = (0.0, 0.5, 1.0, 1.7)
+
+
+def _sampling_settings(
+    rng: np.random.Generator, vocab_size: int, top_k: bool = True
+) -> tuple[float, int | None, float | None]:
+    """A random ``(temperature, top_k, top_p)`` for one decode case.
+
+    A third of cases also filter: top-k (when ``top_k`` allows it) or
+    top-p, on both sides of the comparison.
+    """
+    temperature = float(rng.choice(_DECODE_TEMPERATURES))
+    if rng.random() >= 1 / 3:
+        return temperature, None, None
+    if top_k and rng.random() < 0.5:
+        return temperature, int(rng.integers(1, vocab_size + 1)), None
+    return temperature, None, float(rng.uniform(0.3, 1.0))
+
 
 def make_codec(case: FuzzCase):
     """The cell codec a case specifies (digit or SAX symbol)."""
@@ -390,8 +410,14 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
     with the same seed-derived generators, asserting exact equality of
     tokens *and* log-probs.  Half the cases prefill the batched side
     through an :class:`~repro.llm.state_cache.IngestStateCache` in split
-    extends while the sequential side ingests the prompt in one go.
+    extends while the sequential side ingests the prompt in one go.  Both
+    sides decode at a temperature drawn from {0, 0.5, 1, 1.7}, and a
+    third of cases add top-k or top-p; the two sides run
+    :class:`~repro.llm.batch.BatchedDecoder` and
+    :meth:`~repro.llm.interface.LanguageModel.decode` on the prefilled
+    states directly, since the preset wrappers expose no top-k.
     """
+    from repro.llm.batch import BatchedDecoder
     from repro.llm.sampling import child_seeds
     from repro.llm.simulated import available_models, get_model
     from repro.llm.state_cache import IngestStateCache
@@ -426,6 +452,10 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
     num_streams = 2 + case.seed % 3
     budgets = [int(b) for b in rng.integers(0, 13, size=num_streams)]
     seeds = child_seeds(rng, num_streams)
+    temperature, top_k, top_p = _sampling_settings(rng, vocab_size)
+    settings = dict(
+        constraint=constraint, temperature=temperature, top_k=top_k, top_p=top_p
+    )
 
     session = model.prefill(prompt)
     batched_session = session
@@ -441,20 +471,16 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
         batched_session = model.prefill(prompt, state_cache=cache)
         if batched_session.outcome != "extend":
             return f"split prefill resolved as {batched_session.outcome!r}"
-    decoder = model.generate_batch(
-        prompt,
-        budgets,
+    decoder = BatchedDecoder(
+        batched_session.model,
         [np.random.default_rng(s) for s in seeds],
-        constraint=constraint,
-        session=batched_session,
+        budgets,
+        **settings,
     )
+    decoder.decode()
     for index, (seed, budget) in enumerate(zip(seeds, budgets)):
-        expected = model.generate(
-            prompt,
-            budget,
-            np.random.default_rng(seed),
-            constraint=constraint,
-            session=session,
+        expected = session.model.fork().decode(
+            budget, np.random.default_rng(seed), **settings
         )
         got = decoder.results[index]
         if got is None:
@@ -483,12 +509,16 @@ def _check_sched_equivalence(case: FuzzCase) -> str | None:
     from multiple threads under a random admission cap, and asserts every
     request's tokens *and* log-probs equal a standalone
     :meth:`~repro.llm.simulated.SimulatedLLM.generate_batch` run of the
-    same request (float equality, no tolerance).
+    same request (float equality, no tolerance).  Each request decodes at
+    a temperature drawn from {0, 0.5, 1, 1.7}, and a third of them with a
+    top-p (set on the preset, the only way a request reaches the
+    scheduler with one; it takes no top-k).
     """
+    import dataclasses
     import threading
 
     from repro.llm.sampling import child_seeds
-    from repro.llm.simulated import available_models, get_model
+    from repro.llm.simulated import SimulatedLLM, available_models, get_model
     from repro.scheduling import ContinuousScheduler, RadixPrefillTree
 
     codec = make_codec(case)
@@ -519,9 +549,16 @@ def _check_sched_equivalence(case: FuzzCase) -> str | None:
     requests = []
     for index in range(num_requests):
         num_streams = int(rng.integers(1, 4))
+        temperature, _, top_p = _sampling_settings(rng, vocab_size, top_k=False)
+        preset = get_model(
+            presets[int(rng.integers(0, len(presets)))], vocab_size=vocab_size
+        )
         requests.append(
             {
-                "preset": presets[int(rng.integers(0, len(presets)))],
+                "llm": SimulatedLLM(
+                    dataclasses.replace(preset.spec, top_p=top_p), vocab_size
+                ),
+                "temperature": temperature,
                 "prompt": prompt_pool[int(rng.integers(0, len(prompt_pool)))],
                 "budgets": [int(b) for b in rng.integers(0, 11, size=num_streams)],
                 "seeds": child_seeds(rng, num_streams),
@@ -530,12 +567,12 @@ def _check_sched_equivalence(case: FuzzCase) -> str | None:
 
     expected = []
     for req in requests:
-        llm = get_model(req["preset"], vocab_size=vocab_size)
-        decoder = llm.generate_batch(
+        decoder = req["llm"].generate_batch(
             req["prompt"],
             req["budgets"],
             [np.random.default_rng(s) for s in req["seeds"]],
             constraint=constraint,
+            temperature=req["temperature"],
         )
         expected.append(decoder.results)
 
@@ -550,11 +587,12 @@ def _check_sched_equivalence(case: FuzzCase) -> str | None:
         req = requests[index]
         try:
             handles[index] = scheduler.submit(
-                get_model(req["preset"], vocab_size=vocab_size),
+                req["llm"],
                 req["prompt"],
                 req["budgets"],
                 [np.random.default_rng(s) for s in req["seeds"]],
                 constraint=constraint,
+                temperature=req["temperature"],
             )
         except Exception as exc:  # surfaced as a finding below
             errors.append(f"request {index}: submit raised {exc!r}")

@@ -36,6 +36,7 @@ from repro.llm.sampling import (
     filter_distribution,
     mask_for_ids,
     sample_from_distribution,
+    sample_step,
 )
 from repro.llm.ctw import CTWLanguageModel
 from repro.llm.ppm import PPMLanguageModel
@@ -61,6 +62,7 @@ __all__ = [
     "SetConstraint",
     "PeriodicPatternConstraint",
     "sample_from_distribution",
+    "sample_step",
     "filter_distribution",
     "mask_for_ids",
     "BatchedDecoder",

@@ -291,9 +291,11 @@ class PPMLanguageModel(LanguageModel):
         The sparse high-order cascade stays per-model (it touches only the
         few counts behind the current suffix), while the dense order-0 /
         uniform-floor / normalisation tail — the bulk of the per-call numpy
-        work — runs once over the whole ``(S, V)`` matrix.  Every operation
-        keeps the per-element order of the scalar path, so rows are
-        bit-identical to per-model :meth:`next_distribution` calls.
+        work — runs once over the whole ``(S, V)`` matrix, per-row sums and
+        counts as axis-1 reductions.  Every operation keeps the per-element
+        order of the scalar path, and an axis-1 sum over C-contiguous rows
+        equals the 1-D sum of each row, so rows are bit-identical to
+        per-model :meth:`next_distribution` calls.
         """
         if any(type(model) is not PPMLanguageModel for model in models):
             return super().next_distribution_batch(models)
@@ -303,22 +305,19 @@ class PPMLanguageModel(LanguageModel):
         rows, cascade_weights = zip(*(model._escape_cascade() for model in models))
         result = np.array(rows)
         weights = np.array(cascade_weights)
-        totals = np.array([float(m._zero_counts.sum()) for m in models])
-        if not np.all(totals > 0.0):
+        zeros = np.array([model._zero_counts for model in models])
+        totals = zeros.sum(axis=1)
+        if not (totals > 0.0).all():
             # Empty-context rows take the scalar tail (rare outside tests).
             for i, model in enumerate(models):
                 result[i] = model._order0_tail(result[i], float(weights[i]))
             return result
-        zeros = np.stack([model._zero_counts for model in models])
-        distincts = np.array(
-            [float(np.count_nonzero(m._zero_counts)) for m in models]
-        )
+        distincts = (zeros != 0.0).sum(axis=1, dtype=float)  # count_nonzero
         denoms = totals + distincts
         result += weights[:, None] * zeros / denoms[:, None]
         weights = weights * (distincts / denoms)
         floors = np.array([model.uniform_floor for model in models])
         floor_weights = np.maximum(weights, floors)
         result += floor_weights[:, None] / size
-        sums = np.array([row.sum() for row in result])
-        result /= sums[:, None]
+        result /= result.sum(axis=1, keepdims=True)
         return result

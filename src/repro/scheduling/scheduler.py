@@ -19,9 +19,9 @@ substrate facts:
   any row — :meth:`~repro.llm.interface.LanguageModel.
   next_distribution_batch` guarantees row *i* is bit-identical to
   ``models[i].next_distribution()``;
-* the deterministic filtering half of sampling
-  (:func:`~repro.llm.sampling.filter_distribution`) depends only on the
-  row and the request's own sampling knobs.
+* the step is the one :class:`~repro.llm.batch.BatchedDecoder` runs
+  (:func:`~repro.llm.batch.decode_step`), which filters and draws each
+  row from that row and its request's own sampling settings alone.
 
 The ``sched_equivalence`` fuzz family and ``tests/test_scheduling.py``
 pin this equivalence across random interleavings.
@@ -32,47 +32,19 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import GenerationError
 from repro.llm.constraints import Constraint
-from repro.llm.interface import GenerationResult, LanguageModel
-from repro.llm.sampling import draw_tokens, filter_distribution, mask_for_ids
+from repro.llm.batch import BatchedDecoder, decode_step, stream_budgets
+from repro.llm.interface import GenerationResult
 from repro.llm.simulated import SimulatedLLM
 from repro.observability.spans import NULL_TRACER
 from repro.scheduling.radix import RadixPrefillTree
 
 __all__ = ["ContinuousScheduler", "ScheduledDecode"]
-
-
-class _Stream:
-    """One in-flight sample stream: its identity, RNG, and token budget."""
-
-    __slots__ = ("index", "rng", "budget")
-
-    def __init__(self, index: int, rng: np.random.Generator, budget: int) -> None:
-        self.index = index
-        self.rng = rng
-        self.budget = budget
-
-
-class _Group:
-    """Streams of one request sharing a generated prefix (and one model)."""
-
-    __slots__ = ("model", "streams", "tokens", "log_probs")
-
-    def __init__(
-        self,
-        model: LanguageModel,
-        streams: list[_Stream],
-        tokens: list[int],
-        log_probs: list[float],
-    ) -> None:
-        self.model = model
-        self.streams = streams
-        self.tokens = tokens
-        self.log_probs = log_probs
 
 
 class ScheduledDecode:
@@ -89,11 +61,11 @@ class ScheduledDecode:
     ``ingest`` and ``ingested_tokens``.
     """
 
-    def __init__(self, batch_width: int, ingest: str, ingested_tokens: int) -> None:
-        self.batch_width = batch_width
-        self.results: list[GenerationResult | None] = [None] * batch_width
-        self.occupancy: list[int] = []
-        self.group_counts: list[int] = []
+    def __init__(self, decoder: BatchedDecoder, ingest: str, ingested_tokens: int) -> None:
+        self.batch_width = decoder.batch_width
+        self.results = decoder.results
+        self.occupancy = decoder.occupancy
+        self.group_counts = decoder.group_counts
         self.steps = 0
         self.stopped = False
         self.queue_wait_seconds = 0.0
@@ -119,63 +91,15 @@ class ScheduledDecode:
         return self.results
 
 
+@dataclass(slots=True, eq=False)
 class _Job:
     """Scheduler-internal state for one resident request."""
 
-    __slots__ = (
-        "handle",
-        "groups",
-        "position",
-        "constraint",
-        "temperature",
-        "top_k",
-        "top_p",
-        "stop",
-        "vocab_size",
-        "mask_cache",
-        "pin",
-        "enqueued_at",
-    )
-
-    def __init__(
-        self,
-        handle: ScheduledDecode,
-        root: _Group,
-        constraint: Constraint | None,
-        temperature: float,
-        top_k: int | None,
-        top_p: float | None,
-        stop: Callable[[], bool] | None,
-        vocab_size: int,
-        pin,
-    ) -> None:
-        self.handle = handle
-        self.groups = [root]
-        self.position = 0
-        self.constraint = constraint
-        self.temperature = temperature
-        self.top_k = top_k
-        self.top_p = top_p
-        self.stop = stop
-        self.vocab_size = vocab_size
-        self.mask_cache: dict[frozenset, np.ndarray] = {}
-        self.pin = pin
-        self.enqueued_at = time.monotonic()
-
-    def width(self) -> int:
-        """Live streams this job currently holds in the shared batch."""
-        return sum(len(group.streams) for group in self.groups)
-
-    def mask_at(self, position: int) -> np.ndarray | None:
-        """This step's admissibility mask (cached per pattern slot)."""
-        if self.constraint is None:
-            return None
-        allowed = self.constraint.allowed_at(position)
-        mask = self.mask_cache.get(allowed)
-        if mask is None:
-            mask = mask_for_ids(allowed, self.vocab_size)
-            self.mask_cache[allowed] = mask
-        return mask
+    handle: ScheduledDecode
+    decoder: BatchedDecoder
+    stop: Callable[[], bool] | None
+    pin: object
+    enqueued_at: float = field(default_factory=time.monotonic)
 
 
 class ContinuousScheduler:
@@ -253,18 +177,7 @@ class ContinuousScheduler:
         ``generate_batch`` call.  ``stop`` is polled between shared steps
         from the loop thread, so it must be thread-safe (deadlines are).
         """
-        if len(rngs) == 0:
-            raise GenerationError("a scheduled decode needs at least one stream")
-        if isinstance(max_new_tokens, (int, np.integer)):
-            budgets = [int(max_new_tokens)] * len(rngs)
-        else:
-            budgets = [int(b) for b in max_new_tokens]
-        if len(budgets) != len(rngs):
-            raise GenerationError(
-                f"{len(rngs)} streams but {len(budgets)} token budgets"
-            )
-        if any(budget < 0 for budget in budgets):
-            raise GenerationError("max_new_tokens must be >= 0 for every stream")
+        budgets = stream_budgets(rngs, max_new_tokens)
         tracer = self._tracer if tracer is None else tracer
         prompt = tuple(int(t) for t in context)
         pin = None
@@ -291,29 +204,18 @@ class ContinuousScheduler:
                 session.outcome,
                 session.ingested_tokens,
             )
-        handle = ScheduledDecode(
-            batch_width=len(rngs), ingest=ingest, ingested_tokens=ingested
-        )
-        streams = [
-            _Stream(i, rng, budget)
-            for i, (rng, budget) in enumerate(zip(rngs, budgets))
-        ]
-        # Fork the frozen prefill state once, exactly like BatchedDecoder's
-        # root group — the tree (or cache) keeps the shared original.
-        root = _Group(model=model.fork(), streams=streams, tokens=[], log_probs=[])
-        job = _Job(
-            handle=handle,
-            root=root,
+        # The decoder forks the frozen prefill state once — the tree (or
+        # cache) keeps the shared original.
+        decoder = BatchedDecoder(
+            model,
+            rngs,
+            budgets,
             constraint=constraint,
-            temperature=(
-                llm.spec.temperature if temperature is None else temperature
-            ),
-            top_k=None,
+            temperature=llm.spec.temperature if temperature is None else temperature,
             top_p=llm.spec.top_p,
-            stop=stop,
-            vocab_size=llm.vocab_size,
-            pin=pin,
         )
+        handle = ScheduledDecode(decoder, ingest=ingest, ingested_tokens=ingested)
+        job = _Job(handle=handle, decoder=decoder, stop=stop, pin=pin)
         if self._metrics is not None:
             self._metrics.counter("sched_requests_total").inc()
         with self._cond:
@@ -339,7 +241,7 @@ class ContinuousScheduler:
 
     def _admit_locked(self) -> None:
         """Admit queued jobs FIFO while they fit under the stream cap."""
-        resident_streams = sum(job.width() for job in self._resident)
+        resident_streams = sum(job.decoder.width for job in self._resident)
         while self._pending:
             job = self._pending[0]
             width = job.handle.batch_width
@@ -365,6 +267,7 @@ class ContinuousScheduler:
         if handle._event.is_set():
             return
         handle.steps = len(handle.occupancy)
+        handle.stopped = job.decoder.stopped
         handle._error = error
         if job in self._resident:
             self._resident.remove(job)
@@ -376,7 +279,7 @@ class ContinuousScheduler:
             self._metrics.counter("sched_requests_completed").inc()
             self._metrics.gauge("sched_resident_requests").set(len(self._resident))
             self._metrics.gauge("sched_resident_streams").set(
-                sum(item.width() for item in self._resident)
+                sum(item.decoder.width for item in self._resident)
             )
         handle._event.set()
         self._cond.notify_all()
@@ -403,110 +306,38 @@ class ContinuousScheduler:
 
         Per job the step performs *exactly* the single-request decoder's
         sequence — retire streams at budget, poll ``stop``, record
-        occupancy, score, sample per stream with its own RNG, partition
-        groups by sampled token (first partition advances the model in
-        place, later partitions fork first) — so each job's RNG
-        consumption and model trajectory are independent of who else is
-        resident.
+        occupancy, then one shared :func:`~repro.llm.batch.decode_step`
+        over every job's groups (score, draw per stream with its own RNG,
+        partition groups by token) — so each job's RNG consumption and
+        model trajectory are independent of who else is resident.
         """
         live_jobs: list[_Job] = []
         for job in jobs:
-            handle = job.handle
-            live_groups: list[_Group] = []
-            for group in job.groups:
-                keep: list[_Stream] = []
-                for stream in group.streams:
-                    if stream.budget <= job.position:
-                        handle.results[stream.index] = GenerationResult(
-                            tokens=list(group.tokens),
-                            log_probs=list(group.log_probs),
-                        )
-                    else:
-                        keep.append(stream)
-                if keep:
-                    group.streams = keep
-                    live_groups.append(group)
-            job.groups = live_groups
-            if not job.groups:
+            if job.decoder.begin_step(job.stop):
+                live_jobs.append(job)
+            else:
                 with self._cond:
                     self._finalize_locked(job)
-                continue
-            if job.stop is not None and job.stop():
-                handle.stopped = True
-                with self._cond:
-                    self._finalize_locked(job)
-                continue
-            handle.occupancy.append(job.width())
-            handle.group_counts.append(len(job.groups))
-            live_jobs.append(job)
         if not live_jobs:
             return
+        decoders = [job.decoder for job in live_jobs]
         with self._tracer.span("llm:sched_step") as span:
-            pairs = [(job, group) for job in live_jobs for group in job.groups]
             if span.is_recording:
-                span.set_attribute("resident_requests", len(live_jobs))
+                span.set_attribute("resident_requests", len(decoders))
                 span.set_attribute(
-                    "resident_streams",
-                    sum(len(group.streams) for _, group in pairs),
+                    "resident_streams", sum(decoder.width for decoder in decoders)
                 )
-                span.set_attribute("groups", len(pairs))
-            # Score every distinct model state once, partitioned by
-            # concrete model class so homogeneous vectorised overrides of
-            # next_distribution_batch stay on their fast path.
-            rows: dict[int, np.ndarray] = {}
-            by_type: dict[type, list[int]] = {}
-            for index, (_, group) in enumerate(pairs):
-                by_type.setdefault(type(group.model), []).append(index)
-            for model_type, indices in by_type.items():
-                matrix = model_type.next_distribution_batch(
-                    [pairs[index][1].model for index in indices]
+                span.set_attribute(
+                    "groups", sum(len(decoder.groups) for decoder in decoders)
                 )
-                for row, index in enumerate(indices):
-                    rows[index] = matrix[row]
-            next_groups: dict[int, list[_Group]] = {id(job): [] for job in live_jobs}
-            for index, (job, group) in enumerate(pairs):
-                p, greedy = filter_distribution(
-                    rows[index],
-                    temperature=job.temperature,
-                    top_k=job.top_k,
-                    top_p=job.top_p,
-                    allowed_mask=job.mask_at(job.position),
-                )
-                tokens = draw_tokens(
-                    p, [stream.rng for stream in group.streams], greedy
-                )
-                buckets: dict[int, list[_Stream]] = {}
-                drawn: dict[int, float] = {}
-                for stream, token in zip(group.streams, tokens):
-                    members = buckets.get(token)
-                    if members is None:
-                        buckets[token] = [stream]
-                        drawn[token] = float(p[token])
-                    else:
-                        members.append(stream)
-                items = list(buckets.items())
-                forks = [group.model] + [group.model.fork() for _ in items[1:]]
-                for (token, members), model in zip(items, forks):
-                    model.advance(token)
-                    next_groups[id(job)].append(
-                        _Group(
-                            model=model,
-                            streams=members,
-                            tokens=group.tokens + [token],
-                            log_probs=group.log_probs
-                            + [float(np.log(max(drawn[token], 1e-300)))],
-                        )
-                    )
-            for job in live_jobs:
-                job.groups = next_groups[id(job)]
-                job.position += 1
+            decode_step(decoders)
         self._steps += 1
         if self._metrics is not None:
             self._metrics.histogram("sched_step_occupancy").observe(
-                sum(job.width() for job in live_jobs)
+                sum(decoder.width for decoder in decoders)
             )
             self._metrics.histogram("sched_step_groups").observe(
-                sum(len(job.groups) for job in live_jobs)
+                sum(len(decoder.groups) for decoder in decoders)
             )
 
     # ------------------------------------------------------------------
@@ -533,7 +364,7 @@ class ContinuousScheduler:
         with self._cond:
             return {
                 "resident_requests": len(self._resident),
-                "resident_streams": sum(job.width() for job in self._resident),
+                "resident_streams": sum(job.decoder.width for job in self._resident),
                 "queue_depth": len(self._pending),
                 "admitted": self._admitted,
                 "completed": self._completed,

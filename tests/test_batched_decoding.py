@@ -10,6 +10,8 @@ Pins the tentpole contracts of the batched execution path:
   registered backend preset;
 * scheduling behaviour — heterogeneous budgets, retirement, early stop —
   matches its documentation;
+* slots whose constraint admits one id skip scoring in both decoders and
+  still consume each stream's draw, with unchanged step telemetry;
 * :class:`~repro.core.ForecastSpec` validates eagerly, stays frozen, and
   round-trips through the serving layer (engine, request, manifest, CLI).
 """
@@ -25,12 +27,14 @@ from repro.exceptions import ConfigError, DataError, GenerationError
 from repro.llm import (
     BatchedDecoder,
     IngestStateCache,
+    PeriodicPatternConstraint,
     SetConstraint,
     available_models,
     child_seeds,
     get_model,
 )
 from repro.observability import read_ledger
+from repro.scheduling import ContinuousScheduler
 from repro.serving import ForecastEngine, ForecastRequest, load_manifest
 
 EXECUTIONS = ("batched", "pooled", "sequential")
@@ -210,6 +214,116 @@ class TestDecoderEquivalence:
             )
         with pytest.raises(GenerationError, match=">= 0"):
             BatchedDecoder(session.model, [np.random.default_rng(0)], [-1])
+
+
+def _prefix_telemetry(results, budgets):
+    """Live streams and distinct generated prefixes at every step."""
+    occupancy, groups = [], []
+    for step in range(max(budgets)):
+        live = [r for r, budget in zip(results, budgets) if budget > step]
+        occupancy.append(len(live))
+        groups.append(len({tuple(r.tokens[:step]) for r in live}))
+    return occupancy, groups
+
+
+class TestForcedPositions:
+    """A slot whose mask admits one id is not scored, but still drawn.
+
+    Both decoders take the forced id without scoring the group; each
+    stream must still spend its ``rng.random()`` there (none when greedy)
+    and record log-prob ``0.0``, so tokens, log-probs, generator states
+    and the step telemetry equal per-stream ``generate``.
+    """
+
+    # 20 random three-digit values, value-interleaved with separator 10.
+    CONTEXT = [
+        int(token)
+        for row in np.random.default_rng(4).integers(0, 10, size=(20, 3))
+        for token in [*row, 10]
+    ]
+    BUDGETS = [0, 4, 9, 12, 12]
+    DIGITS = frozenset(range(10))
+
+    @classmethod
+    def _constraint(cls, kind):
+        if kind == "set":
+            return SetConstraint({3})
+        return PeriodicPatternConstraint([cls.DIGITS, cls.DIGITS, cls.DIGITS, {10}])
+
+    def _decode(self, execution, llm, rngs, constraint, temperature):
+        if execution == "batched":
+            decoder = llm.generate_batch(
+                self.CONTEXT,
+                self.BUDGETS,
+                rngs,
+                constraint=constraint,
+                temperature=temperature,
+            )
+            return decoder.results, decoder.occupancy, decoder.group_counts
+        scheduler = ContinuousScheduler()
+        try:
+            handle = scheduler.submit(
+                llm,
+                self.CONTEXT,
+                self.BUDGETS,
+                rngs,
+                constraint=constraint,
+                temperature=temperature,
+            )
+            results = handle.result(timeout=60)
+        finally:
+            scheduler.close()
+        return results, handle.occupancy, handle.group_counts
+
+    @pytest.mark.parametrize("execution", ["batched", "continuous"])
+    @pytest.mark.parametrize("kind", ["set", "vi"])
+    @pytest.mark.parametrize("temperature", [0.0, 1.0, 1.7])
+    def test_equal_to_per_stream_generate(self, execution, kind, temperature):
+        llm = get_model("llama2-7b-sim", vocab_size=11)
+        constraint = self._constraint(kind)
+        seeds = child_seeds(np.random.default_rng(23), len(self.BUDGETS))
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        results, occupancy, group_counts = self._decode(
+            execution, llm, rngs, constraint, temperature
+        )
+        for seed, budget, rng, result in zip(seeds, self.BUDGETS, rngs, results):
+            own = np.random.default_rng(seed)
+            expected = llm.generate(
+                self.CONTEXT,
+                budget,
+                own,
+                constraint=constraint,
+                temperature=temperature,
+            )
+            assert result.tokens == expected.tokens
+            assert result.log_probs == expected.log_probs
+            assert rng.bit_generator.state == own.bit_generator.state
+            for position, (token, log_prob) in enumerate(
+                zip(result.tokens, result.log_probs)
+            ):
+                if len(constraint.allowed_at(position)) == 1:
+                    assert (token, log_prob) == (
+                        next(iter(constraint.allowed_at(position))),
+                        0.0,
+                    )
+        assert (occupancy, group_counts) == _prefix_telemetry(results, self.BUDGETS)
+
+    @pytest.mark.parametrize("execution", ["batched", "continuous"])
+    def test_telemetry_pinned(self, execution):
+        # Captured from the decoder that scored every slot.  e2ebench's
+        # llm.groups_per_stream and llm.batch_occupancy_mean derive from
+        # these lists, so skipping forced slots must leave them as they are.
+        llm = get_model("llama2-7b-sim", vocab_size=11)
+        seeds = child_seeds(np.random.default_rng(23), len(self.BUDGETS))
+        _, occupancy, group_counts = self._decode(
+            execution,
+            llm,
+            [np.random.default_rng(seed) for seed in seeds],
+            self._constraint("vi"),
+            1.0,
+        )
+        assert occupancy == [4, 4, 4, 4, 3, 3, 3, 3, 3, 2, 2, 2]
+        assert group_counts == [1, 3, 4, 4, 3, 3, 3, 3, 3, 2, 2, 2]
 
 
 class TestForecastSpec:

@@ -1,5 +1,8 @@
 """Tests for sampling, constraints, cost model, and the model registry."""
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,6 @@ from repro.exceptions import ConfigError, GenerationError
 from repro.llm import (
     ModelSpec,
     PeriodicPatternConstraint,
-    PPMLanguageModel,
     SetConstraint,
     TokenCostModel,
     UniformLM,
@@ -18,7 +20,7 @@ from repro.llm import (
     register_model,
     sample_from_distribution,
 )
-from repro.llm.sampling import draw_tokens, filter_distribution
+from repro.llm.sampling import draw_tokens, filter_distribution, sample_step
 
 
 class TestSampling:
@@ -176,6 +178,244 @@ class TestDrawTokens:
             p, _ = filter_distribution(raw, allowed_mask=mask)
             assert token == int(np.random.default_rng(seed).choice(p.size, p=p))
             assert prob == float(p[token])
+
+
+def _reference_filter(probs, temperature, top_k, top_p, allowed_mask):
+    """The one-row filter as it stood before the step kernel (naive)."""
+    p = np.asarray(probs, dtype=float)
+    if temperature < 0:
+        raise GenerationError(f"temperature must be >= 0, got {temperature}")
+    if top_k is not None and top_k < 1:
+        raise GenerationError(f"top_k must be >= 1, got {top_k}")
+    if top_p is not None and not 0.0 < top_p <= 1.0:
+        raise GenerationError(f"top_p must be in (0, 1], got {top_p}")
+    p = np.clip(p, 0.0, None)
+    mask = None
+    if allowed_mask is not None:
+        mask = np.asarray(allowed_mask, dtype=bool)
+        if not mask.any():
+            raise GenerationError("allowed_mask admits no ids")
+    if mask is not None:
+        p = np.where(mask, p, 0.0)
+        if p.sum() <= 0.0:
+            p = mask.astype(float)
+    if p.sum() <= 0.0:
+        raise GenerationError("distribution has no probability mass")
+    p = p / p.sum()
+    if temperature < 1e-6:
+        return p, True
+    if temperature != 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logp = np.where(p > 0.0, np.log(p), -np.inf)
+            logp = logp / temperature
+            logp -= logp.max()
+            p = np.exp(logp)
+        p[~np.isfinite(p)] = 0.0
+        p = p / p.sum()
+    if top_k is not None and top_k < np.count_nonzero(p):
+        keep = np.argsort(p)[-top_k:]
+        filtered = np.zeros_like(p)
+        filtered[keep] = p[keep]
+        p = filtered / filtered.sum()
+    if top_p is not None and top_p < 1.0:
+        order = np.argsort(p)[::-1]
+        cumulative = np.cumsum(p[order])
+        cutoff = int(np.searchsorted(cumulative, top_p)) + 1
+        keep = order[:cutoff]
+        filtered = np.zeros_like(p)
+        filtered[keep] = p[keep]
+        p = filtered / filtered.sum()
+    return p, False
+
+
+def _reference_draw(p, rngs, greedy):
+    """The one-row draw as it stood before the step kernel (naive)."""
+    if greedy:
+        return [int(np.argmax(p))] * len(rngs)
+    total = math.fsum(p.tolist())
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > float(np.sqrt(np.finfo(np.float64).eps)):
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    bounds = cdf.tolist()
+    return [bisect_right(bounds, rng.random()) for rng in rngs]
+
+
+def _reference_step(probs, rngs, temperature, top_k, top_p, mask):
+    """Per-row filter + draw, partitioned like ``sample_step``'s result."""
+    step = []
+    for g, row_rngs in enumerate(rngs):
+        row_mask = None if mask is None else (mask if mask.ndim == 1 else mask[g])
+        with np.errstate(invalid="ignore"):  # NaN rows
+            p, greedy = _reference_filter(
+                probs[g], temperature, top_k, top_p, row_mask
+            )
+        parts = {}
+        for member, token in enumerate(_reference_draw(p, row_rngs, greedy)):
+            parts.setdefault(token, []).append(member)
+        step.append([(t, float(p[t]), members) for t, members in parts.items()])
+    return step
+
+
+def _same(a, b):
+    """Equality that also holds between two NaNs (greedy NaN rows)."""
+    return a == b or (a != a and b != b)
+
+
+class TestSampleStep:
+    """``sample_step`` equals per-row filter + draw on every row."""
+
+    TEMPERATURES = (0.0, 1e-7, 0.5, 1.0, 1.7)
+
+    @classmethod
+    def _case(cls, rng, poison=False):
+        size = int(rng.choice([2, 11, 27]))
+        rows = int(rng.integers(1, 9))
+        layout = rng.random()
+        probs = rng.random((rows, size)) ** float(rng.choice([1.0, 8.0, 60.0]))
+        probs[rng.random((rows, size)) < 0.3] = 0.0
+        for g in range(rows):
+            kind = rng.random()
+            if kind < 0.1 and layout < 0.8:
+                probs[g] = 0.0  # no mass: the uniform fallback of the mask
+            elif kind < 0.2:
+                probs[g] = np.round(probs[g], 1)  # ties for top-k/top-p
+            elif kind < 0.25:
+                probs[g, int(rng.integers(size))] = 1e-300
+            if poison and rng.random() < 0.3:
+                if rng.random() < 0.5:
+                    probs[g, int(rng.integers(size))] = np.nan
+                else:
+                    probs[g] = -rng.random(size)
+        if layout >= 0.8:
+            probs[probs.sum(axis=1) == 0.0, 0] = 1.0  # unmasked rows need mass
+        mask = None
+        if layout < 0.3:
+            mask = rng.random(size) < 0.6
+            mask[int(rng.integers(size))] = True
+        elif layout < 0.6:
+            mask = rng.random((rows, size)) < 0.6
+            mask[np.arange(rows), rng.integers(size, size=rows)] = True
+        elif layout < 0.8:
+            mask = np.zeros(size, dtype=bool)  # a single admitted id
+            mask[int(rng.integers(size))] = True
+        top_k = top_p = None
+        if rng.random() < 0.3:
+            top_k = int(rng.integers(1, size + 2))
+        if rng.random() < 0.3:
+            # Dyadic cut-offs land exactly on the cumulative mass of
+            # uniform rows (the mask fallback over 2, 4 or 8 ids).
+            top_p = float(rng.choice([1.0, 0.25, 0.5, 0.75, rng.uniform(0.05, 1.0)]))
+        temperature = float(rng.choice(cls.TEMPERATURES))
+        seeds = [
+            [int(seed) for seed in rng.integers(0, 2**63, size=int(rng.integers(1, 5)))]
+            for _ in range(rows)
+        ]
+        return probs, mask, temperature, top_k, top_p, seeds
+
+    @staticmethod
+    def _run(step, probs, mask, temperature, top_k, top_p, seeds):
+        rngs = [[np.random.default_rng(seed) for seed in row] for row in seeds]
+        try:
+            result = step(probs, rngs, temperature, top_k, top_p, mask)
+        except Exception as exc:  # compared by type below
+            return type(exc), None
+        states = [[rng.bit_generator.state for rng in row] for row in rngs]
+        return result, states
+
+    def test_matches_per_row_reference(self):
+        master = np.random.default_rng(2024)
+        kernel = lambda probs, rngs, t, k, p, mask: sample_step(  # noqa: E731
+            probs, rngs, temperature=t, top_k=k, top_p=p, allowed_mask=mask
+        )
+        for _ in range(1200):
+            case = self._case(master)
+            got, got_states = self._run(kernel, *case)
+            want, want_states = self._run(_reference_step, *case)
+            assert got_states is not None and want_states is not None
+            assert got_states == want_states
+            assert len(got) == len(want)
+            for got_row, want_row in zip(got, want):
+                assert [(t, m) for t, _, m in got_row] == [(t, m) for t, _, m in want_row]
+                assert all(
+                    _same(a, b)
+                    for (_, a, _), (_, b, _) in zip(got_row, want_row)
+                )
+
+    def test_bad_rows_raise_what_per_row_raises(self):
+        master = np.random.default_rng(7)
+        kernel = lambda probs, rngs, t, k, p, mask: sample_step(  # noqa: E731
+            probs, rngs, temperature=t, top_k=k, top_p=p, allowed_mask=mask
+        )
+        raised = 0
+        for _ in range(600):
+            case = self._case(master, poison=True)
+            got, got_states = self._run(kernel, *case)
+            want, want_states = self._run(_reference_step, *case)
+            if want_states is None:
+                raised += 1
+                assert got == want and got_states is None
+                continue
+            assert got_states == want_states
+            for got_row, want_row in zip(got, want):
+                assert [(t, m) for t, _, m in got_row] == [(t, m) for t, _, m in want_row]
+                assert all(
+                    _same(a, b)
+                    for (_, a, _), (_, b, _) in zip(got_row, want_row)
+                )
+        assert raised > 50  # the poisoned rows do reach both error paths
+
+    def test_forced_slot_is_certain(self):
+        # One admitted id: probability exactly 1 at every temperature, so a
+        # decoder may take it unscored (the forced-position skip).
+        master = np.random.default_rng(3)
+        for temperature in self.TEMPERATURES:
+            probs = master.random((4, 11))
+            probs[0] = 0.0
+            mask = np.zeros(11, dtype=bool)
+            mask[10] = True
+            step = sample_step(
+                probs,
+                [[np.random.default_rng(0)]] * 4,
+                temperature=temperature,
+                top_k=2,
+                top_p=0.5,
+                allowed_mask=mask,
+            )
+            assert step == [[(10, 1.0, [0])]] * 4
+            assert float(np.log(1.0)) == 0.0
+
+    @pytest.mark.parametrize("width", range(1, 65))
+    def test_axis1_reductions_equal_per_row(self, width):
+        # The kernel's premise: an axis-1 sum/cumsum over C-contiguous rows
+        # gives each row the bits of the 1-D call.
+        master = np.random.default_rng(width)
+        for rows in (1, 2, 3, 5, 8, 17):
+            matrix = master.random((rows, width)) ** 8.0
+            matrix[master.random((rows, width)) < 0.3] = 0.0
+            sums = matrix.sum(axis=1)
+            cumsums = np.cumsum(matrix, axis=1)
+            for g in range(rows):
+                row = np.array(matrix[g])
+                assert sums[g].tobytes() == row.sum().tobytes()
+                assert cumsums[g].tobytes() == row.cumsum().tobytes()
+
+    def test_rejects_bad_shapes(self):
+        rngs = [[np.random.default_rng(0)]]
+        with pytest.raises(GenerationError, match="score matrix"):
+            sample_step(np.ones(3) / 3, rngs)
+        with pytest.raises(GenerationError, match="score matrix"):
+            sample_step(np.ones((2, 3)) / 3, rngs)
+        with pytest.raises(GenerationError, match="does not match"):
+            sample_step(np.ones((1, 3)) / 3, rngs, allowed_mask=np.ones(4, bool))
+        with pytest.raises(GenerationError, match="admits no ids"):
+            sample_step(np.ones((1, 3)) / 3, rngs, allowed_mask=np.zeros(3, bool))
+        with pytest.raises(GenerationError, match="temperature"):
+            sample_step(np.ones((1, 3)) / 3, rngs, temperature=-1.0)
 
 
 class TestConstraints:

@@ -261,6 +261,37 @@ class TestContinuousScheduler:
                 assert a.tokens == b.tokens
                 assert a.log_probs == b.log_probs
 
+    def test_mixed_vocabularies_share_the_loop(self):
+        # A raw-digit and a SAX-sized request of one substrate resident
+        # together: each step must score them as separate batches.
+        jobs = [
+            (11, _tokens(80, 11, seed=40), 3, 300),
+            (7, _tokens(60, 7, seed=41), 2, 40),
+        ]
+        expected = [
+            get_model("llama2-7b-sim", vocab)
+            .generate_batch(prompt, budget, _make_rngs(vocab, streams))
+            .results
+            for vocab, prompt, streams, budget in jobs
+        ]
+        scheduler = ContinuousScheduler()
+        try:
+            handles = [
+                scheduler.submit(
+                    get_model("llama2-7b-sim", vocab),
+                    prompt,
+                    budget,
+                    _make_rngs(vocab, streams),
+                )
+                for vocab, prompt, streams, budget in jobs
+            ]
+            outputs = [handle.result(timeout=60) for handle in handles]
+        finally:
+            scheduler.close()
+        for want, got in zip(expected, outputs):
+            assert [r.tokens for r in got] == [r.tokens for r in want]
+            assert [r.log_probs for r in got] == [r.log_probs for r in want]
+
     def test_admission_cap_queues_fifo_and_all_complete(self):
         scheduler = ContinuousScheduler(max_resident_streams=2)
         llm = get_model("uniform-sim", 8)
