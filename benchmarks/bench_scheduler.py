@@ -85,7 +85,6 @@ def _baseline(specs: list[ForecastSpec]) -> tuple[float, list]:
 def _continuous(specs: list[ForecastSpec]) -> tuple[float, list, dict]:
     """All specs submitted at once to one shared continuous scheduler."""
     with ForecastEngine(
-        num_workers=1,
         max_concurrent_requests=len(specs),
         max_resident_streams=MAX_RESIDENT_STREAMS,
     ) as engine:

@@ -5,9 +5,9 @@ series is forecast over the same horizon by each strategy in
 ``repro.strategies`` — the classic per-step digit pipeline, SAX symbols,
 per-patch PAA aggregation, and decompose-then-forecast — and the report
 records the full trajectory: prompt tokens, generated tokens, held-out
-RMSE, and wall time under both pooled and batched decoding.  Token savings
-compound with batched decoding (fewer prompt tokens to ingest *and* fewer
-decode steps per stream), so both axes appear side by side.
+RMSE, and wall time under batched decoding.  Token savings compound in
+the decoder (fewer prompt tokens to ingest *and* fewer decode steps per
+stream), so both axes appear side by side.
 
 Run standalone to (re)generate ``BENCH_strategies.json`` at the repo root::
 
@@ -74,18 +74,10 @@ def measure_strategies(names=tuple(STRATEGIES)) -> dict:
             seed=SEED,
             **STRATEGIES[name],
         )
-        seconds: dict = {}
-        output = None
-        for execution in ("pooled", "batched"):
-            spec = ForecastSpec.from_config(
-                config, series=history, horizon=HORIZON, execution=execution
-            )
-            start = time.perf_counter()
-            result = MultiCastForecaster(config).forecast(spec)
-            seconds[execution] = time.perf_counter() - start
-            if output is not None:
-                assert result.values.tobytes() == output.values.tobytes()
-            output = result
+        spec = ForecastSpec.from_config(config, series=history, horizon=HORIZON)
+        start = time.perf_counter()
+        output = MultiCastForecaster().forecast(spec)
+        seconds = time.perf_counter() - start
         report[name] = {
             "strategy_ran": output.metadata["strategy"],
             "prompt_tokens": output.prompt_tokens,
@@ -149,7 +141,7 @@ def test_strategies_bench(emit):
             f"prompt {row['prompt_tokens']:>5}  "
             f"generated {row['generated_tokens']:>5}  "
             f"rmse {row['rmse']:6.3f}  "
-            f"batched {row['seconds']['batched']:6.3f} s  "
+            f"batched {row['seconds']:6.3f} s  "
             f"cut {row['prompt_token_reduction_vs_digit']:5.2f}x"
         )
     emit("strategies", "\n".join(lines))

@@ -2,14 +2,15 @@
 """Serving layer walkthrough: one engine, many forecasts.
 
 The :class:`~repro.serving.ForecastEngine` turns the paper's single
-``forecast()`` call into a concurrent service — sample draws fan out across
-a worker pool, identical requests are answered from a content-addressed
-cache, and every request carries a deadline and retry budget.  This script
+``forecast()`` call into a concurrent service — requests run on a small
+request pool, each decoding its sample ensemble in lockstep, identical
+requests are answered from a content-addressed cache, and every request
+carries a deadline and retry budget.  This script
 shows the three entry points an adopting user touches:
 
 1. **Direct requests** — submit a batch of :class:`ForecastRequest` objects
-   and read bit-identical results back (same seed => same forecast as the
-   sequential forecaster);
+   and read bit-identical results back (same seed => same forecast as a
+   direct forecaster call);
 2. **Engine-backed backtest** — pass ``engine=`` to
    ``rolling_origin_evaluation`` so windows run concurrently and re-runs
    hit the cache;
@@ -34,7 +35,7 @@ def main() -> None:
     history = np.asarray(dataset.values)
     horizon = 12
 
-    with ForecastEngine(num_workers=4) as engine:
+    with ForecastEngine() as engine:
         # 1 -- a batch of requests: two schemes plus a deliberate repeat
         configs = {
             "di": MultiCastConfig(scheme="di", num_samples=5, seed=0),
@@ -50,15 +51,15 @@ def main() -> None:
         for response in engine.forecast_batch(requests):
             print(response.summary())
 
-        # served results match the sequential forecaster exactly
-        sequential = MultiCastForecaster().forecast(
+        # served results match a direct forecaster call exactly
+        direct = MultiCastForecaster().forecast(
             ForecastSpec.from_config(configs["di"], series=history, horizon=horizon)
         )
         served = engine.forecast(
             ForecastRequest(history, horizon, config=configs["di"])
         )
-        assert np.array_equal(served.output.values, sequential.values)
-        print("\nengine forecast == sequential forecast (same seed): verified")
+        assert np.array_equal(served.output.values, direct.values)
+        print("\nengine forecast == direct forecast (same seed): verified")
 
         # 2 -- backtest through the engine: windows run concurrently,
         #      and the second run is answered from cache

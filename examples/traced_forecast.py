@@ -3,7 +3,7 @@
 
 Serves a small batch of gas-rate forecasts through a traced
 ``ForecastEngine``, prints the first request's full span tree (serving
-envelope → pipeline stages → per-sample draws → LLM phases), then reads
+envelope → pipeline stages → ingest and batched decode), then reads
 the JSONL run ledger back and prints the aggregate report — the same
 output as ``repro-multicast ledger summarize``.
 
@@ -32,9 +32,7 @@ def main() -> None:
 
     ledger_path = Path(tempfile.mkdtemp()) / "runs.jsonl"
     collector = SpanCollector()
-    with ForecastEngine(
-        num_workers=4, tracer=Tracer(collector), ledger=ledger_path
-    ) as engine:
+    with ForecastEngine(tracer=Tracer(collector), ledger=ledger_path) as engine:
         responses = engine.forecast_batch(
             [
                 ForecastRequest(

@@ -185,17 +185,19 @@ class LLMTime(BaseEstimator):
         needed = horizon * tokens_per_step
         constraint = self._constraint()
         rng = np.random.default_rng(config.seed if seed is None else seed)
-        # Seeds are derived up front so per-sample draws stay deterministic
-        # even if a caller fans them out across worker threads.
-        seeds = child_seeds(rng, config.num_samples)
+        decoder = model.generate_batch(
+            prompt_ids,
+            needed,
+            [
+                np.random.default_rng(s)
+                for s in child_seeds(rng, config.num_samples)
+            ],
+            constraint=constraint,
+        )
 
         sample_values = np.empty((config.num_samples, horizon))
         generated_total = 0
-        for s in range(config.num_samples):
-            result = model.generate(
-                prompt_ids, needed, np.random.default_rng(seeds[s]),
-                constraint=constraint,
-            )
+        for s, result in enumerate(decoder.results):
             generated_total += len(result.tokens)
             parsed = parse_token_stream(
                 self._vocabulary.decode(result.tokens), self._codec

@@ -7,7 +7,7 @@ Usage (installed as ``repro-multicast``, or ``python -m repro.cli``)::
     repro-multicast forecast --csv mydata.csv --horizon 24 --output fcst.csv
     repro-multicast forecast --dataset gas_rate --trace
     repro-multicast evaluate --dataset weather --methods multicast-di arima
-    repro-multicast batch --manifest jobs.json --workers 8 --metrics-out m.json
+    repro-multicast batch --manifest jobs.json --repeat 2 --metrics-out m.json
     repro-multicast batch --manifest jobs.json --ledger runs.jsonl --trace
     repro-multicast batch --manifest jobs.json --execution continuous \
         --max-resident-streams 32
@@ -163,8 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     forecast.add_argument("--seed", type=int, default=0)
     forecast.add_argument(
         "--execution", choices=EXECUTION_MODES, default="batched",
-        help="how the sample ensemble is decoded (bit-identical outputs; "
-             "batched is usually fastest)",
+        help="how the sample ensemble is decoded: per request (batched) or "
+             "in the shared cross-request loop (continuous); bit-identical "
+             "outputs",
     )
     forecast.add_argument(
         "--strategy", choices=PROMPT_STRATEGIES, default="default",
@@ -226,9 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     backtest.add_argument("--windows", type=int, default=3)
     _add_samples_argument(backtest)
     backtest.add_argument("--seed", type=int, default=0)
-    backtest.add_argument("--workers", type=int, default=0,
-                          help="serve windows through an engine with this "
-                               "many sample workers (0 = sequential)")
     backtest.add_argument(
         "--execution", choices=EXECUTION_MODES, default="batched",
         help="ensemble decoding for MultiCast windows (bit-identical outputs)",
@@ -243,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--manifest", required=True,
                        help="JSON manifest of forecast jobs (see docs/API.md)")
-    batch.add_argument("--workers", type=int, default=4,
-                       help="sample-draw worker threads")
     batch.add_argument("--request-concurrency", type=int, default=2,
                        help="requests in flight at once")
     batch.add_argument("--execution", choices=EXECUTION_MODES, default=None,
@@ -277,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--manifest", required=True,
                        help="JSON manifest of forecast jobs (see docs/API.md)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="sample-draw worker threads")
     serve.add_argument("--shards", type=int, default=0,
                        help="decode worker *processes*: 0 serves in-process, "
                             "N >= 1 stands up a ShardedEngine with N shards "
@@ -574,20 +568,10 @@ def _command_backtest(args) -> int:
         )
     elif args.method == "llmtime":
         options["num_samples"] = num_samples
-    engine = None
-    if args.workers > 0:
-        from repro.serving import ForecastEngine
-
-        engine = ForecastEngine(num_workers=args.workers)
-    try:
-        result = rolling_origin_evaluation(
-            args.method, dataset, horizon=args.horizon,
-            num_windows=args.windows, seed=args.seed, engine=engine,
-            spec=spec, **options,
-        )
-    finally:
-        if engine is not None:
-            engine.close()
+    result = rolling_origin_evaluation(
+        args.method, dataset, horizon=args.horizon,
+        num_windows=args.windows, seed=args.seed, spec=spec, **options,
+    )
     mean, std = result.mean_rmse(), result.std_rmse()
     print(f"{args.method} on {dataset.name}: {result.num_windows} windows "
           f"of {args.horizon} (origins {result.origins})")
@@ -637,7 +621,6 @@ def _command_batch(args) -> int:
         tracer = Tracer(SpanCollector())
     failed = 0
     with ForecastEngine(
-        num_workers=args.workers,
         cache=cache,
         max_concurrent_requests=args.request_concurrency,
         max_resident_streams=args.max_resident_streams,
@@ -705,14 +688,9 @@ def _command_serve(args) -> int:
     if args.shards > 0:
         from repro.sharding import ShardedEngine
 
-        engine = ShardedEngine(
-            num_shards=args.shards,
-            worker_threads=args.workers,
-            ledger=args.ledger,
-        )
+        engine = ShardedEngine(num_shards=args.shards, ledger=args.ledger)
     else:
         engine = ForecastEngine(
-            num_workers=args.workers,
             max_concurrent_requests=args.request_concurrency,
             ledger=args.ledger,
         )

@@ -8,11 +8,7 @@ from repro.core.estimator import (
     PerDimension,
     positional_shim,
 )
-from repro.core.forecaster import (
-    MultiCastForecaster,
-    SampleRunner,
-    run_sequentially,
-)
+from repro.core.forecaster import MultiCastForecaster
 from repro.core.multiplex import (
     MULTIPLEX_SCHEMES,
     BlockInterleaver,
@@ -44,8 +40,6 @@ __all__ = [
     "PerDimension",
     "positional_shim",
     "MultiCastForecaster",
-    "SampleRunner",
-    "run_sequentially",
     "StageClock",
     "STAGES",
     "ForecastOutput",

@@ -22,18 +22,13 @@ The serialisation half of both paths lives in :mod:`repro.strategies`
 (``DigitStrategy`` and ``SaxStrategy``, plus the patch-aggregate,
 decompose-then-forecast and auto strategies); the forecaster keeps the
 sampling half — validation, seasonal adjustment, prompt ingest, the
-ingest-state cache, batched/continuous/pooled decoding — and hands it to
+ingest-state cache, batched/continuous decoding — and hands it to
 the selected strategy through :class:`_StrategyContext`.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
-import warnings
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -55,71 +50,10 @@ from repro.llm import (
     get_model,
 )
 from repro.llm.interface import GenerationResult
-from repro.llm.simulated import PrefilledSession, SimulatedLLM
 from repro.llm.state_cache import IngestStateCache
 from repro.observability.spans import NULL_TRACER
 
-__all__ = ["MultiCastForecaster", "SampleRunner", "SampleTask", "run_sequentially"]
-
-#: One deferred constrained sample draw; calling it performs the draw.
-SampleTask = Callable[[], GenerationResult]
-
-#: Executes a batch of sample tasks and returns their results *in task
-#: order*.  A runner may return ``None`` in place of a result to report a
-#: draw it abandoned (failed or timed out); the forecaster then aggregates
-#: the surviving samples and flags the output as partial.  Tasks are
-#: self-contained (each builds its own RNG from a precomputed seed), so a
-#: runner may execute them concurrently and in any order.
-SampleRunner = Callable[[list[SampleTask]], list[GenerationResult | None]]
-
-
-def run_sequentially(tasks: list[SampleTask]) -> list[GenerationResult | None]:
-    """The default sample runner: draw in order on the calling thread."""
-    return [task() for task in tasks]
-
-
-def _run_pooled(tasks: list[SampleTask]) -> list[GenerationResult | None]:
-    """Transient thread-pool runner for ``execution="pooled"`` without an
-    injected runner (the serving engine injects its own pool instead)."""
-    workers = max(1, min(len(tasks), os.cpu_count() or 4))
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="mc-sample"
-    ) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-
-class _SharedPrefill:
-    """One lazy prompt ingest shared by every sample draw of a request.
-
-    The first draw that asks for the session performs the prefill (under
-    its own ``sample_draw`` span, so a failed ingest fails only that draw
-    and is retried with it); every later draw — possibly on another pool
-    thread — receives the same frozen session and just forks it.
-    """
-
-    def __init__(
-        self,
-        model: SimulatedLLM,
-        prompt_ids: list[int],
-        state_cache: IngestStateCache | None,
-    ) -> None:
-        self._model = model
-        self._prompt_ids = prompt_ids
-        self._state_cache = state_cache
-        self._lock = threading.Lock()
-        self.session: PrefilledSession | None = None
-
-    def acquire(self, tracer) -> PrefilledSession:
-        """The shared session, prefilling under ``tracer`` if not yet done."""
-        with self._lock:
-            if self.session is None:
-                self.session = self._model.prefill(
-                    self._prompt_ids,
-                    tracer=tracer,
-                    state_cache=self._state_cache,
-                )
-            return self.session
+__all__ = ["MultiCastForecaster"]
 
 
 class MultiCastForecaster:
@@ -135,113 +69,80 @@ class MultiCastForecaster:
     >>> output.values.shape == future.shape
     True
 
-    By default the prompt is ingested once per request and every sample
-    draw forks the prefilled model (``share_prefill=True``); passing an
+    The prompt is ingested once per request and the whole sample ensemble
+    decodes in lockstep from that one prefill; passing an
     :class:`~repro.llm.state_cache.IngestStateCache` additionally reuses
     prefilled state *across* requests (exact repeats fork it, extended
     histories advance only the new suffix).  Neither changes outputs:
-    under a fixed seed, results are bit-identical to re-ingesting per
-    draw (``share_prefill=False``, the legacy path kept for A/B tests).
+    under a fixed seed, results are bit-identical to drawing each sample
+    on its own from a fresh ingest of the prompt.
     """
 
     def __init__(
         self,
         config: MultiCastConfig | None = None,
         *,
-        sample_runner: SampleRunner | None = None,
         tracer=None,
         state_cache: IngestStateCache | None = None,
-        share_prefill: bool = True,
         stop: Callable[[], bool] | None = None,
         scheduler=None,
     ) -> None:
         self.config = config or MultiCastConfig()
         self._multiplexer: Multiplexer = get_multiplexer(self.config.scheme)
-        self._sample_runner: SampleRunner = sample_runner or run_sequentially
         self._tracer = NULL_TRACER if tracer is None else tracer
         self._state_cache = state_cache
-        self._share_prefill = share_prefill
         self._stop = stop
         self._scheduler = scheduler
 
     # -- public API -----------------------------------------------------------
 
-    def forecast(
-        self,
-        spec: ForecastSpec | np.ndarray,
-        horizon: int | None = None,
-        seed: int | None = None,
-        tracer=None,
-    ) -> ForecastOutput:
+    def forecast(self, spec: ForecastSpec, *, tracer=None) -> ForecastOutput:
         """Run one forecast described by a :class:`ForecastSpec`.
 
         The spec is self-contained: its pipeline fields replace the
         constructor's ``config`` entirely, and its ``execution`` field
-        selects how the sample ensemble is driven (``"batched"`` — the
-        lockstep scheduler, the default — ``"pooled"``, ``"sequential"``
-        or ``"continuous"``; all bit-identical under the same seed).  The
-        constructor keeps only execution machinery: sample runner, tracer,
-        ingest-state cache, prefill sharing, stop callable.
+        selects how the sample ensemble is decoded (``"batched"`` — the
+        request's own lockstep decoder, the default — or ``"continuous"``,
+        the shared cross-request scheduler; bit-identical under the same
+        seed).  The constructor keeps only execution machinery: tracer,
+        ingest-state cache, stop callable, scheduler.
 
         ``tracer`` (defaulting to the constructor's, defaulting to the
         no-op :data:`~repro.observability.NULL_TRACER`) receives one
         ``forecast`` root span per call with a ``stage:*`` child per
-        pipeline stage and, depending on the execution mode, either
-        ``sample_draw`` children per generation attempt or one
-        ``llm:decode_batch`` span.  The root span's duration is *defined*
-        as the sum of its stage spans — exactly
+        pipeline stage; the ``stage:generate`` span nests one
+        ``llm:ingest`` and one ``llm:decode_batch`` span.  The root span's
+        duration is *defined* as the sum of its stage spans — exactly
         :attr:`ForecastOutput.wall_seconds` — so the rendered trace and
         the flat ``timings`` dict never disagree.
-
-        .. deprecated:: 1.1
-            Calling ``forecast(history, horizon, seed=...)`` with a bare
-            array still works but emits a :class:`DeprecationWarning`;
-            build a :class:`ForecastSpec` instead (see ``docs/API.md``).
-            The legacy form runs through the constructor's config and
-            sample runner exactly as before, and produces an identical
-            :class:`ForecastOutput`.
         """
-        if isinstance(spec, ForecastSpec):
-            if horizon is not None or seed is not None:
-                raise ConfigError(
-                    "pass horizon and seed inside the ForecastSpec, "
-                    "not alongside it"
-                )
-            spec.require_series()
-            worker = MultiCastForecaster(
-                spec.config,
-                sample_runner=self._sample_runner,
-                tracer=self._tracer,
-                state_cache=self._state_cache,
-                share_prefill=self._share_prefill,
-                stop=self._stop,
-                scheduler=self._scheduler,
+        if not isinstance(spec, ForecastSpec):
+            raise ConfigError(
+                "forecast() takes a ForecastSpec; the forecast(history, "
+                "horizon) form was removed (see the migration guide in "
+                "docs/API.md)"
             )
-            return worker._forecast_impl(
-                spec.series, spec.horizon, spec.seed, tracer, mode=spec.execution
-            )
-        warnings.warn(
-            "forecast(history, horizon, ...) is deprecated; pass a "
-            "ForecastSpec (see the migration guide in docs/API.md)",
-            DeprecationWarning,
-            stacklevel=2,
+        spec.require_series()
+        worker = MultiCastForecaster(
+            spec.config,
+            tracer=self._tracer,
+            state_cache=self._state_cache,
+            stop=self._stop,
+            scheduler=self._scheduler,
         )
-        return self._forecast_impl(spec, horizon, seed, tracer, mode=None)
+        return worker._forecast_impl(
+            spec.series, spec.horizon, spec.seed, tracer, mode=spec.execution
+        )
 
     def _forecast_impl(
         self,
         history: np.ndarray,
         horizon: int,
         seed: int | None,
-        tracer=None,
-        mode: str | None = None,
+        tracer,
+        mode: str,
     ) -> ForecastOutput:
-        """The pipeline body shared by the spec and legacy entry points.
-
-        ``mode`` is the resolved execution mode; ``None`` (legacy calls)
-        means "whatever sample runner the constructor configured", which
-        preserves the pre-spec behaviour exactly.
-        """
+        """The pipeline body, with ``mode`` the spec's execution."""
         if horizon is None:
             raise DataError("horizon must be provided")
         values = np.asarray(history, dtype=float)
@@ -360,123 +261,54 @@ class MultiCastForecaster:
         tokens_needed: int,
         constraint: Constraint,
         seed: int | None,
-        tracer=NULL_TRACER,
-        parent=None,
-        mode: str | None = None,
+        tracer,
+        mode: str,
     ) -> tuple[list[list[str]], int, float, dict]:
         """Draw the configured number of continuations.
 
-        ``mode`` routes the ensemble through one of four executions, all
+        ``mode`` routes the ensemble through one of two decoders, both
         bit-identical under the same seed:
 
         * ``"batched"`` — one :class:`~repro.llm.batch.BatchedDecoder`
-          advances every stream in lockstep from the shared prefilled
-          session (one ``llm:decode_batch`` span instead of per-draw
-          ``sample_draw`` spans); the constructor's ``stop`` callable is
-          polled between steps, so a deadline abandons only still-live
-          streams and the forecast proceeds on the partial ensemble.
+          advances every stream in lockstep from one prefilled session
+          (one ``llm:ingest`` and one ``llm:decode_batch`` span).
         * ``"continuous"`` — the streams join the shared cross-request
           :class:`~repro.scheduling.ContinuousScheduler` (the
           constructor's injected one, else a transient single-request
           instance), which also owns prompt ingest through its radix
           prefill tree when one is attached.
-        * ``"pooled"`` — per-draw tasks on the constructor's injected
-          runner, or a transient thread pool when none was injected.
-        * ``"sequential"`` — per-draw tasks in order on this thread.
-        * ``None`` (legacy ``forecast(history, horizon)`` calls) —
-          whatever runner the constructor configured, exactly the
-          pre-spec behaviour.
 
-        Per-draw tasks are self-contained (each builds its RNG from a
-        precomputed child seed) so a runner may execute them concurrently,
-        in any order, or retry one from scratch, without changing the
-        result, and may return ``None`` for draws it abandoned; as long as
-        at least one survives, the forecast proceeds.
-
-        The prompt is ingested *once*: the first draw to run prefills the
-        model (through the ingest-state cache if one is attached) and every
-        draw forks that shared state, so its ``llm:generate`` span carries
-        ``ingest="fork"`` and only the ingesting draw nests an
-        ``llm:ingest`` span.  Draws still sample with their own seeds, so
-        outputs match the per-draw re-ingest path bit for bit.
-
-        Every *invocation* of a task opens a ``sample_draw`` span attached
-        to ``parent`` (the ``stage:generate`` span) — tasks may run on
-        pool threads, so the parent is bound explicitly rather than taken
-        from the ambient stack.  A retried draw shows up as a second
-        ``sample_draw`` span with ``attempt=2``.
+        Each stream samples with its own child seed, drawn up front, so
+        the ensemble equals S independent draws of the prompt.  The
+        constructor's ``stop`` callable is polled between decode steps;
+        when it fires the live streams are abandoned and, with no stream
+        left, the forecast raises :class:`GenerationError`.
 
         Returns (decoded token streams, total generated tokens, simulated
         seconds, execution/ingest info dict).  Simulated seconds charge
         the prompt ingest once plus decode per completed sample — a
-        deterministic model of the shared-prefill execution, independent
-        of cache state *and* execution mode so that every run of one
-        request reports identical costs.
+        deterministic cost model independent of cache state *and*
+        execution mode, so every run of one request reports identical
+        costs.
         """
         config = self.config
         model = get_model(config.model, vocab_size=len(vocabulary))
         rng = np.random.default_rng(config.seed if seed is None else seed)
         seeds = child_seeds(rng, config.num_samples)
-        prefill = (
-            _SharedPrefill(model, prompt_ids, self._state_cache)
-            if self._share_prefill
-            else None
-        )
 
-        if mode == "batched":
-            results, execution_info = self._run_batched(
-                model, prompt_ids, tokens_needed, constraint, seeds,
-                prefill, tracer,
-            )
-        elif mode == "continuous":
-            results, execution_info = self._run_continuous(
-                model, prompt_ids, tokens_needed, constraint, seeds, tracer,
-            )
-        else:
-            runner = self._resolve_runner(mode)
-            execution_info = {
-                "execution": (
-                    "sequential" if runner is run_sequentially else "pooled"
-                ),
-            }
-            make_task = self._make_draw_task(
-                model, prompt_ids, tokens_needed, constraint, prefill,
-                tracer, parent,
-            )
-            results = runner([make_task(i, s) for i, s in enumerate(seeds)])
+        run = self._run_continuous if mode == "continuous" else self._run_batched
+        results, info = run(
+            model, prompt_ids, tokens_needed, constraint, seeds, tracer
+        )
         completed = [r for r in results if r is not None]
         if not completed:
-            raise GenerationError(
-                "every sample draw failed or was abandoned by the runner"
-            )
+            raise GenerationError("every sample stream was abandoned")
         streams = [vocabulary.decode(result.tokens) for result in completed]
         generated = sum(len(result.tokens) for result in completed)
         simulated = model.cost.seconds(len(prompt_ids), 0) + sum(
             model.cost.seconds(0, len(result.tokens)) for result in completed
         )
-        session = prefill.session if prefill else None
-        ingest_info = {
-            "ingest": session.outcome if session else "per-draw",
-            "ingested_tokens": (
-                session.ingested_tokens
-                if session
-                else len(completed) * len(prompt_ids)
-            ),
-            **execution_info,
-        }
-        return streams, generated, simulated, ingest_info
-
-    def _resolve_runner(self, mode: str | None) -> SampleRunner:
-        """The per-draw sample runner for a non-batched execution mode."""
-        if mode == "sequential":
-            return run_sequentially
-        if mode == "pooled":
-            if self._sample_runner is not run_sequentially:
-                return self._sample_runner  # the injected (engine) pool
-            return _run_pooled
-        if mode is None:
-            return self._sample_runner
-        raise ConfigError(f"unknown execution mode {mode!r}")
+        return streams, generated, simulated, info
 
     def _run_batched(
         self,
@@ -485,16 +317,12 @@ class MultiCastForecaster:
         tokens_needed: int,
         constraint: Constraint,
         seeds: list[int],
-        prefill: "_SharedPrefill | None",
         tracer,
     ) -> tuple[list[GenerationResult | None], dict]:
         """Decode the whole ensemble through one lockstep batched pass."""
-        if prefill is not None:
-            session = prefill.acquire(tracer)
-        else:
-            session = model.prefill(
-                prompt_ids, tracer=tracer, state_cache=self._state_cache
-            )
+        session = model.prefill(
+            prompt_ids, tracer=tracer, state_cache=self._state_cache
+        )
         decoder = model.generate_batch(
             prompt_ids,
             tokens_needed,
@@ -506,15 +334,12 @@ class MultiCastForecaster:
             stop=self._stop,
         )
         info = {
+            "ingest": session.outcome,
+            "ingested_tokens": session.ingested_tokens,
             "execution": "batched",
             "batch_occupancy": list(decoder.occupancy),
             "batch_groups": list(decoder.group_counts),
         }
-        if prefill is None:
-            # The shared-prefill bookkeeping in _run_samples sees no
-            # session; report the decoder's own single ingest instead.
-            info["ingest"] = session.outcome
-            info["ingested_tokens"] = session.ingested_tokens
         if decoder.stopped:
             info["stopped"] = True
         return decoder.results, info
@@ -575,47 +400,6 @@ class MultiCastForecaster:
             info["stopped"] = True
         return results, info
 
-    def _make_draw_task(
-        self,
-        model,
-        prompt_ids: list[int],
-        tokens_needed: int,
-        constraint: Constraint,
-        prefill: "_SharedPrefill | None",
-        tracer,
-        parent,
-    ) -> Callable[[int, int], SampleTask]:
-        """A factory of self-contained per-draw tasks (see `_run_samples`)."""
-        config = self.config
-
-        def make_task(index: int, sample_seed: int) -> SampleTask:
-            attempts = itertools.count(1)
-
-            def draw() -> GenerationResult:
-                with tracer.span(
-                    "sample_draw",
-                    parent=parent,
-                    sample_index=index,
-                    seed=int(sample_seed),
-                    attempt=next(attempts),
-                ) as span:
-                    session = prefill.acquire(tracer) if prefill else None
-                    result = model.generate(
-                        prompt_ids,
-                        tokens_needed,
-                        np.random.default_rng(sample_seed),
-                        constraint=constraint,
-                        temperature=config.temperature,
-                        tracer=tracer,
-                        session=session,
-                    )
-                    span.set_attribute("tokens_generated", len(result.tokens))
-                    return result
-
-            return draw
-
-        return make_task
-
     def _truncate_rows(self, matrix: np.ndarray, width: int) -> np.ndarray:
         """Keep only the most recent rows whose stream fits the prompt budget."""
         per_row = self._multiplexer.tokens_per_timestamp(matrix.shape[1], width)
@@ -650,7 +434,7 @@ class _StrategyContext:
         forecaster: MultiCastForecaster,
         clock: StageClock,
         tracer,
-        mode: str | None,
+        mode: str,
     ) -> None:
         self.config = forecaster.config
         self.clock = clock
@@ -660,13 +444,12 @@ class _StrategyContext:
         self._mode = mode
 
     def run_samples(
-        self, vocabulary, prompt_ids, tokens_needed, constraint, seed,
-        generate_span,
+        self, vocabulary, prompt_ids, tokens_needed, constraint, seed
     ):
         """Draw the sample ensemble (see `MultiCastForecaster._run_samples`)."""
         return self._forecaster._run_samples(
             vocabulary, prompt_ids, tokens_needed, constraint, seed,
-            self._tracer, generate_span, self._mode,
+            self._tracer, self._mode,
         )
 
     def constraint(self, vocabulary, value_tokens, num_dims, width):
@@ -686,8 +469,8 @@ class _StrategyContext:
     def subforecast(self, values, horizon, seed, label=""):
         """Run a nested forecast through the full request machinery.
 
-        The sub-request shares the parent's execution mode, sample runner,
-        ingest-state cache, prefill sharing, stop callable and scheduler —
+        The sub-request shares the parent's execution mode, ingest-state
+        cache, stop callable and scheduler —
         so it hits the ingest cache and the batched decoder exactly like a
         top-level request — but always runs the ``"default"`` strategy
         (composites never recurse) and never re-applies seasonal
@@ -696,10 +479,8 @@ class _StrategyContext:
         parent = self._forecaster
         worker = MultiCastForecaster(
             replace(parent.config, strategy="default", deseasonalize=None),
-            sample_runner=parent._sample_runner,
             tracer=self._tracer,
             state_cache=parent._state_cache,
-            share_prefill=parent._share_prefill,
             stop=parent._stop,
             scheduler=parent._scheduler,
         )

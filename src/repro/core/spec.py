@@ -1,26 +1,27 @@
 """ForecastSpec: the one request object every entry point accepts.
 
 Four PRs of growth left the public surface with overlapping-but-different
-kwargs: ``MultiCastForecaster.forecast(history, horizon, seed=...)``,
+kwargs: a bare-array ``MultiCastForecaster.forecast(history, horizon)``,
 ``ForecastEngine.submit(ForecastRequest(...))``, CLI flags, and
 ``rolling_origin_evaluation(..., **pipeline_options)`` each spelled the
 same pipeline settings a little differently.  :class:`ForecastSpec`
 consolidates them: one frozen dataclass carrying the series, the horizon,
 every pipeline knob of :class:`~repro.core.config.MultiCastConfig`, the
 sampling seed, and the execution mode (``"batched"`` — the default
-lockstep scheduler of :mod:`repro.llm.batch` — ``"pooled"``,
-``"sequential"`` or ``"continuous"``, the cross-request shared scheduler
-of :mod:`repro.scheduling`; all four produce bit-identical outputs under
-the same seed, so the choice is purely about wall-clock).
+per-request lockstep decoder of :mod:`repro.llm.batch` — or
+``"continuous"``, the cross-request shared scheduler of
+:mod:`repro.scheduling`; both produce bit-identical outputs under the
+same seed, so the choice is purely about wall-clock).
 
 Migration (see ``docs/API.md``)::
 
     spec = ForecastSpec(series=history, horizon=12, scheme="di", seed=7)
-    output = MultiCastForecaster().forecast(spec)          # was (history, 12)
+    output = MultiCastForecaster().forecast(spec)          # (history, 12) is gone
     response = ForecastEngine().forecast(spec)             # was a ForecastRequest
     result = rolling_origin_evaluation("multicast-di", ds, 12, spec=spec)
 
-Legacy call styles keep working for one release behind shims that emit
+The remaining legacy spellings (option aliases, the backtest's loose
+pipeline options) keep working for one release behind shims that emit
 :class:`DeprecationWarning` (the test suite turns those warnings into
 errors for first-party call sites, so internal drift cannot reappear).
 """
@@ -44,7 +45,7 @@ __all__ = [
 ]
 
 #: The execution modes a spec (or serving request) may select.
-EXECUTION_MODES = ("batched", "pooled", "sequential", "continuous")
+EXECUTION_MODES = ("batched", "continuous")
 
 #: Legacy spellings of canonical sampling fields, accepted-and-warned for
 #: one release (the kwarg-drift cleanup: ``num_samples`` is canonical).
@@ -109,9 +110,9 @@ class ForecastSpec:
     seed:
         Base RNG seed for the sample ensemble.
     execution:
-        ``"batched"`` (default), ``"pooled"``, ``"sequential"`` or
+        ``"batched"`` (default, the request's own lockstep decoder) or
         ``"continuous"`` (the cross-request shared scheduler of
-        :mod:`repro.scheduling`) — how the sample ensemble is driven.
+        :mod:`repro.scheduling`) — how the sample ensemble is decoded.
         Outputs are bit-identical across modes under the same seed.
     """
 

@@ -28,7 +28,7 @@ from repro.data import gas_rate
 from repro.encoding.vocabulary import Vocabulary
 from repro.evaluation import TableResult
 from repro.exceptions import EncodingError
-from repro.llm import SetConstraint, get_model
+from repro.llm import SetConstraint, child_seeds, get_model
 from repro.metrics import rmse
 from repro.scaling import FixedDigitScaler
 
@@ -128,14 +128,17 @@ def _forecast_univariate(
 
     model = get_model(model_name, vocab_size=len(vocabulary))
     constraint = SetConstraint(range(len(vocabulary)))
-    rng = np.random.default_rng(seed)
+    decoder = model.generate_batch(
+        prompt,
+        tokens_needed,
+        [
+            np.random.default_rng(s)
+            for s in child_seeds(np.random.default_rng(seed), num_samples)
+        ],
+        constraint=constraint,
+    )
     samples = np.empty((num_samples, horizon))
-    for s in range(num_samples):
-        result = model.generate(
-            prompt, tokens_needed,
-            np.random.default_rng(rng.integers(2**63)),
-            constraint=constraint,
-        )
+    for s, result in enumerate(decoder.results):
         generated_text = "".join(vocabulary.decode(result.tokens))
         values = []
         for group in generated_text.split(","):

@@ -663,9 +663,9 @@ def _shard_engine(num_shards: int):
         if not _shard_engines:
             atexit.register(_close_shard_engines)
         if num_shards == 0:
-            engine = ForecastEngine(num_workers=2)
+            engine = ForecastEngine()
         else:
-            engine = ShardedEngine(num_shards=num_shards, worker_threads=2)
+            engine = ShardedEngine(num_shards=num_shards)
         _shard_engines[num_shards] = engine
     return engine
 

@@ -20,14 +20,14 @@ a backpressure story:
   :class:`~repro.serving.request.ForecastResponse` (honouring each
   handle's *own* deadline even when coalesced behind a slower leader),
   and **stream** yields :class:`~repro.gateway.handles.StreamEvent`
-  partial-ensemble progress as sample draws retire, then the final
-  result.
+  lifecycle events: ``accepted`` on admission, then the final
+  ``result``.
 
 The gateway adds nothing to the numeric path: an admitted request is the
 exact :class:`~repro.serving.request.ForecastRequest` the engine would
 serve directly, so gateway results are bit-identical to
-``engine.forecast`` (and to a sequential
-:class:`~repro.core.forecaster.MultiCastForecaster`) under the same seed
+``engine.forecast`` (and to a direct
+:class:`~repro.core.forecaster.MultiCastForecaster` call) under the same seed
 — pinned by ``tests/test_gateway.py`` across batched and continuous
 execution.
 
@@ -175,19 +175,12 @@ class ForecastGateway:
         entry = _Inflight(handle)
         self._inflight[digest] = entry
 
-        def on_progress(completed: int, requested: int) -> None:
-            loop.call_soon_threadsafe(
-                self._publish_progress, entry, completed, requested
-            )
-
         ledger_extra = {
             "tenant": tenant,
             "admission": "admitted",
             "enqueued_at": time.perf_counter(),
         }
-        engine_future = self.engine.submit(
-            request, on_progress=on_progress, ledger_extra=ledger_extra
-        )
+        engine_future = self.engine.submit(request, ledger_extra=ledger_extra)
         engine_future.add_done_callback(
             lambda future: self._schedule_finalize(loop, digest, entry, future)
         )
@@ -214,32 +207,15 @@ class ForecastGateway:
     ) -> GatewayHandle:
         """Coalesce: ride the identical in-flight leader, no engine work."""
         follower = GatewayHandle(request, digest, loop=loop, coalesced=True)
-        follower.completed = entry.leader.completed
-        follower.requested = entry.leader.requested
         self._handles.add(follower)
         entry.followers.append(follower)
         self.metrics.counter("gateway_coalesced_total").inc()
         follower.publish(
-            StreamEvent(
-                kind="accepted",
-                completed=follower.completed,
-                requested=follower.requested,
-            )
+            StreamEvent(kind="accepted", requested=follower.requested)
         )
         return follower
 
     # -- event-loop callbacks -------------------------------------------------
-
-    def _publish_progress(
-        self, entry: _Inflight, completed: int, requested: int
-    ) -> None:
-        event = StreamEvent(
-            kind="progress", completed=completed, requested=requested
-        )
-        entry.leader.publish(event)
-        for follower in entry.followers:
-            if not follower.done:
-                follower.publish(event)
 
     def _schedule_finalize(self, loop, digest, entry, future) -> None:
         try:

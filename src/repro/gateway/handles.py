@@ -33,19 +33,16 @@ class StreamEvent:
 
     ``kind`` is the event type:
 
-    * ``"accepted"`` — admission succeeded; ``completed``/``requested``
-      report the sample ensemble size (0 completed).
-    * ``"progress"`` — a partial ensemble exists: ``completed`` of
-      ``requested`` sample draws have retired (pooled execution reports
-      each retirement; lockstep modes retire inside one decode pass and
-      go straight to ``"result"``).
+    * ``"accepted"`` — admission succeeded; ``requested`` reports the
+      sample ensemble size.
     * ``"result"`` — terminal; ``response`` carries the full
-      :class:`~repro.serving.request.ForecastResponse` (which is the
-      partial-ensemble aggregate when the request degraded).
+      :class:`~repro.serving.request.ForecastResponse`.
+
+    The ensemble decodes in lockstep inside one pass, so no event falls
+    between the two.
     """
 
     kind: str
-    completed: int = 0
     requested: int = 0
     response: ForecastResponse | None = None
 
@@ -59,18 +56,17 @@ class HandleStatus:
     ``gateway_queue_wait_seconds`` histogram measures), ``"coalesced"``
     (riding an identical in-flight request), ``"done"`` (response ready
     and ok) or ``"failed"`` (response ready with an error).
-    ``completed``/``requested`` mirror the latest progress event.
+    ``requested`` is the sample ensemble size.
     """
 
     state: str
-    completed: int = 0
     requested: int = 0
     tenant: str = ""
     coalesced: bool = False
 
 
 class GatewayHandle:
-    """One submitted request's ticket: identity, progress, and its future.
+    """One submitted request's ticket: identity, status, and its future.
 
     Created by :meth:`ForecastGateway.submit`; never constructed by
     callers.  ``handle.done`` / ``handle.response`` allow cheap
@@ -92,7 +88,6 @@ class GatewayHandle:
         self.coalesced = coalesced
         self.submitted_at = time.perf_counter()
         self.future: asyncio.Future = loop.create_future()
-        self.completed = 0
         self.requested = int(request.config.num_samples)
         self._queues: list[asyncio.Queue] = []
         self._events: list[StreamEvent] = []
@@ -126,7 +121,6 @@ class GatewayHandle:
             state = "running"
         return HandleStatus(
             state=state,
-            completed=self.completed,
             requested=self.requested,
             tenant=self.request.tenant,
             coalesced=self.coalesced,
@@ -136,9 +130,6 @@ class GatewayHandle:
 
     def publish(self, event: StreamEvent) -> None:
         """Record one event and fan it out to every attached stream."""
-        if event.kind == "progress":
-            self.completed = event.completed
-            self.requested = event.requested
         self._events.append(event)
         for queue in self._queues:
             queue.put_nowait(event)
@@ -172,10 +163,7 @@ class GatewayHandle:
         self.future.set_result(response)
         self.publish(
             StreamEvent(
-                kind="result",
-                completed=self.completed,
-                requested=self.requested,
-                response=response,
+                kind="result", requested=self.requested, response=response
             )
         )
 

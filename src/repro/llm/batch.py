@@ -2,10 +2,10 @@
 
 MultiCast's point forecast is the per-timestamp median over S i.i.d.
 constrained continuations of *one* prompt, so a request decodes S streams
-that differ only in their sampling RNG.  The sequential and thread-pooled
-paths advance each stream's own token loop — S full passes over the model
-per step.  :class:`BatchedDecoder` advances all streams in lockstep
-instead (iteration-level batching, as in Orca-style LLM serving): one
+that differ only in their sampling RNG.  Rather than running each
+stream's own token loop — S full passes over the model per step —
+:class:`BatchedDecoder` advances all streams in lockstep (iteration-level
+batching, as in Orca-style LLM serving): one
 vectorised :meth:`~repro.llm.interface.LanguageModel.next_distribution_batch`
 call per step scores every live stream, each stream samples from its row
 with its own seed-derived generator, and streams that hit their token
@@ -20,17 +20,17 @@ Two substrate properties make this cheap *and* exact:
   distinct state once per step and forking (copy-on-write, from PR 3)
   only when sampled tokens split a group.  Early in a decode — and for
   the whole decode at low temperatures — the batch collapses to a
-  handful of groups, which is where the ≥3× win over the pooled path
-  comes from (see ``benchmarks/bench_batching.py``).
+  handful of groups, so most steps score far fewer than S states.
 * **Bit-identity** — every stream samples from a distribution row that
   is bit-identical to a per-stream ``next_distribution()`` call, with
-  the same per-stream generator the sequential path would use.  The step
+  the same per-stream generator a one-stream decode would use.  The step
   kernel :func:`~repro.llm.sampling.sample_step` filters all rows at
   once and draws each stream with one ``rng.random()`` and a right
   bisect (``Generator.choice``'s own algorithm); a slot whose constraint
   admits one id (the ``vi`` separator) is not scored, as that id has
-  probability exactly 1.  Batched output therefore equals the sequential
-  and pooled paths token for token and log-prob for log-prob (pinned by
+  probability exactly 1.  Batched output therefore equals S independent
+  :meth:`~repro.llm.simulated.SimulatedLLM.generate` calls token for
+  token and log-prob for log-prob (pinned by
   ``tests/test_batched_decoding.py`` and the ``decode_equivalence`` fuzz
   family).
 
@@ -181,7 +181,7 @@ class BatchedDecoder:
         consumers) concurrently.
     rngs:
         One :class:`numpy.random.Generator` per stream, in stream order —
-        the same seed-derived generators the sequential path would use
+        the same seed-derived generators one-stream decodes would use
         (see :func:`~repro.llm.sampling.child_seeds`).
     max_new_tokens:
         Per-stream token budget: one int shared by all streams, or a
@@ -284,7 +284,7 @@ class BatchedDecoder:
         met, poll ``stop``) then :func:`decode_step`.  When ``stop``
         returns True the decode aborts, already-retired streams keep their
         results and still-live streams report ``None`` (the engine uses
-        this to honour request deadlines with a partial ensemble).
+        this to honour request deadlines).
 
         Emits one ``llm:decode_batch`` span carrying ``batch_width``,
         ``steps``, ``tokens_generated`` and mean occupancy/group counts.

@@ -87,7 +87,7 @@ class LanguageModel(ABC):
         Row ``i`` is bit-identical to ``models[i].next_distribution()`` —
         that is the contract the batched decode scheduler
         (:class:`repro.llm.batch.BatchedDecoder`) relies on to stay
-        deterministic with respect to the sequential path.  The base
+        deterministic with respect to one-stream decoding.  The base
         implementation simply stacks per-model calls; substrates with a
         vectorisable scoring tail (PPM, recency PPM, n-gram, uniform,
         shift-biased) override it to share work across rows, falling back
@@ -178,10 +178,11 @@ class LanguageModel(ABC):
 
         This is :meth:`generate` without the ingest phase: the session must
         already be conditioned (by :meth:`reset`, :meth:`advance`, or by
-        :meth:`fork`-ing a prefilled model).  The fork-after-prefill hot
-        path ingests a prompt once and calls ``decode`` on a fresh fork per
-        sample, which is bit-identical to a full :meth:`generate` per
-        sample under the same RNG state.
+        :meth:`fork`-ing a prefilled model).  It is the per-stream
+        reference the batched decoder (:class:`repro.llm.batch.BatchedDecoder`)
+        is pinned against, and stays deliberately plain: it scores and
+        filters every slot, forced separator slots included, and rebuilds
+        the mask from ``allowed_ids`` on every token.
         """
         if max_new_tokens < 0:
             raise GenerationError(f"max_new_tokens must be >= 0, got {max_new_tokens}")

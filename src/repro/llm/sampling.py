@@ -14,11 +14,10 @@ exists once and every decode path draws the same bits.
 
 Thread-safety: nothing in this module touches NumPy's legacy global RNG
 (``np.random.seed``/``np.random.rand``); every draw goes through an explicit
-``numpy.random.Generator`` owned by the caller.  Callers that fan sample
-draws out across worker threads must give each worker its *own* generator —
-:func:`child_seeds` derives a deterministic, order-independent seed per
-worker from one base generator so parallel execution reproduces sequential
-execution exactly.
+``numpy.random.Generator`` owned by the caller.  Every sample stream gets
+its *own* generator — :func:`child_seeds` derives a deterministic seed per
+stream from one base generator, so a batched decode reproduces one-stream
+decoding exactly.
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ def child_seeds(rng: np.random.Generator, n: int) -> list[int]:
 
     The seeds are drawn sequentially *up front*, so work parameterised by
     them can execute in any order (or concurrently) and still be
-    deterministic under the base seed.  This is the same derivation the
-    sequential pipeline has always used (one ``integers(2**63)`` per
-    sample), just hoisted out of the draw loop.
+    deterministic under the base seed (one ``integers(2**63)`` per
+    sample, hoisted out of the draw loop).
     """
     if n < 0:
         raise GenerationError(f"cannot derive {n} child seeds")

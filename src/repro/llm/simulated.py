@@ -16,9 +16,11 @@ New presets can be added with :func:`register_model`.
 
 Prompt ingest is shared, not repeated: :meth:`SimulatedLLM.prefill` builds
 (or fetches from an :class:`~repro.llm.state_cache.IngestStateCache`) a
-:class:`PrefilledSession`, and :meth:`SimulatedLLM.generate` accepts that
-session to fork-and-decode instead of re-ingesting the prompt — the
-substrate's equivalent of KV-cache prefix reuse.
+:class:`PrefilledSession`, and :meth:`SimulatedLLM.generate_batch` decodes
+every sample stream from that one session instead of re-ingesting the
+prompt per sample — the substrate's equivalent of KV-cache prefix reuse.
+:meth:`SimulatedLLM.generate` is the one-stream reference it is pinned
+against: a fresh ingest and a plain per-token decode.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ class ModelSpec:
     """Recipe for constructing a named simulated model.
 
     ``realtime_scale`` optionally converts the cost model's *simulated*
-    seconds into real ones: each :meth:`SimulatedLLM.generate` call sleeps
-    ``cost.seconds(...) * realtime_scale`` after sampling, emulating the
-    latency of a remote inference API.  The sleep releases the GIL, so this
-    is what makes thread-pooled serving benchmarks representative of hosted
-    backends; 0 (the default) keeps generation as fast as the substrate.
-    Ingest latency is charged where ingest happens: a prefill that reuses a
+    seconds into real ones: each call sleeps ``cost.seconds(...) *
+    realtime_scale`` after its work, emulating the latency of a remote
+    inference API.  The sleep releases the GIL, so this is what makes
+    concurrent serving benchmarks representative of hosted backends; 0
+    (the default) keeps generation as fast as the substrate.  Ingest
+    latency is charged where ingest happens: a prefill that reuses a
     cached state only sleeps for the tokens it actually ingested, and a
-    generate call given a session sleeps for its decode tokens only.
+    batched decode sleeps for one stream's decode steps.
     """
 
     name: str
@@ -78,7 +80,7 @@ class ModelSpec:
 
 @dataclass
 class PrefilledSession:
-    """A prompt ingested once, ready to be forked per sample draw.
+    """A prompt ingested once, ready to be forked by the decoders.
 
     Attributes
     ----------
@@ -86,7 +88,7 @@ class PrefilledSession:
         The prefilled in-context model.  **Frozen by contract** — consumers
         must :meth:`~repro.llm.interface.LanguageModel.fork` it before
         decoding, which is what makes one session safely shareable across
-        every draw of an ensemble (and across threads).
+        decoders (and across threads).
     context:
         The prompt tokens the session is conditioned on.
     ingested_tokens:
@@ -110,7 +112,8 @@ class SimulatedLLM:
     conditions on exactly the prompt it is given, mirroring how a zero-shot
     API call carries no state between requests.  What *can* persist is the
     deterministic ingest work: pass ``state_cache`` (or a ``session`` from
-    :meth:`prefill`) to reuse previously built in-context structure.
+    :meth:`prefill` to :meth:`generate_batch`) to reuse previously built
+    in-context structure.
     """
 
     def __init__(
@@ -201,69 +204,41 @@ class SimulatedLLM:
         constraint: Constraint | None = None,
         temperature: float | None = None,
         tracer=None,
-        session: PrefilledSession | None = None,
     ) -> GenerationResult:
         """One constrained sample of ``max_new_tokens`` continuation tokens.
+
+        The per-stream reference: a fresh model ingests ``context`` and
+        decodes one token at a time.  Forecasting never calls it — the
+        forecaster, tasks and baselines decode through
+        :meth:`generate_batch` — but tests and the fuzz harness pin every
+        batched path against it, so it stays deliberately plain.
 
         ``temperature`` overrides the preset's sampling temperature for this
         call (tasks like imputation decode more conservatively than
         forecasting).  ``tracer`` wraps the call in an ``llm:generate``
         span (naming the backend preset) with the ``llm:ingest`` /
         ``llm:decode`` phases nested beneath it.
-
-        ``session`` — a :class:`PrefilledSession` from :meth:`prefill` for
-        the *same* prompt — switches to the fork-after-prefill hot path:
-        the prefilled state is forked and decoded without re-ingesting, the
-        span carries ``ingest="fork"`` in place of a nested ``llm:ingest``,
-        and realtime latency covers only the decoded tokens.  Outputs are
-        bit-identical to the re-ingest path under the same RNG state.
         """
         tracer = NULL_TRACER if tracer is None else tracer
-        if session is not None and session.context != tuple(
-            int(t) for t in context
-        ):
-            raise GenerationError(
-                "prefilled session does not match the generate() context"
+        with tracer.span(
+            "llm:generate",
+            model=self.name,
+            context_tokens=len(context),
+            max_new_tokens=max_new_tokens,
+        ) as span:
+            model = self.spec.factory(self.vocab_size)
+            result = model.generate(
+                context,
+                max_new_tokens,
+                rng,
+                constraint=constraint,
+                temperature=(
+                    self.spec.temperature if temperature is None else temperature
+                ),
+                top_p=self.spec.top_p,
+                tracer=tracer,
             )
-        attrs = {
-            "model": self.name,
-            "context_tokens": len(context),
-            "max_new_tokens": max_new_tokens,
-        }
-        if session is not None:
-            attrs["ingest"] = "fork"
-        with tracer.span("llm:generate", **attrs) as span:
-            if session is not None:
-                if max_new_tokens < 0:
-                    raise GenerationError(
-                        f"max_new_tokens must be >= 0, got {max_new_tokens}"
-                    )
-                model = session.model.fork()
-                result = model.decode(
-                    max_new_tokens,
-                    rng,
-                    constraint=constraint,
-                    temperature=(
-                        self.spec.temperature if temperature is None else temperature
-                    ),
-                    top_p=self.spec.top_p,
-                    tracer=tracer,
-                )
-                self._sleep(0, len(result.tokens))
-            else:
-                model = self.spec.factory(self.vocab_size)
-                result = model.generate(
-                    context,
-                    max_new_tokens,
-                    rng,
-                    constraint=constraint,
-                    temperature=(
-                        self.spec.temperature if temperature is None else temperature
-                    ),
-                    top_p=self.spec.top_p,
-                    tracer=tracer,
-                )
-                self._sleep(len(context), len(result.tokens))
+            self._sleep(len(context), len(result.tokens))
             span.set_attribute("tokens_generated", len(result.tokens))
         return result
 

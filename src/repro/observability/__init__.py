@@ -3,8 +3,8 @@
 Two complementary views of the serving system, both dependency-free:
 
 * :mod:`~repro.observability.spans` — a :class:`Tracer` producing
-  hierarchical spans (request → forecast → pipeline stage → sample draw →
-  LLM ingest/decode) with attributes, a thread-safe :class:`SpanCollector`
+  hierarchical spans (request → forecast → pipeline stage → LLM
+  ingest/decode) with attributes, a thread-safe :class:`SpanCollector`
   for finished traces, and :func:`render_span_tree` for the
   ``forecast --trace`` CLI.  The default :data:`NULL_TRACER` makes every
   instrumented region a no-op, so the hot path pays ~zero cost and
@@ -18,9 +18,8 @@ Two complementary views of the serving system, both dependency-free:
 Every layer accepts an optional ``tracer=``:
 :class:`~repro.serving.engine.ForecastEngine` opens request spans and
 writes the ledger, :class:`~repro.core.forecaster.MultiCastForecaster`
-opens the pipeline root and stage spans, and
-:meth:`~repro.llm.simulated.SimulatedLLM.generate` records per-draw
-ingest/decode spans.  ``docs/OBSERVABILITY.md`` is the guide.
+opens the pipeline root and stage spans, and the LLM layer records the
+prompt ingest and the batched decode.  ``docs/OBSERVABILITY.md`` is the guide.
 """
 
 from repro.observability.ledger import (

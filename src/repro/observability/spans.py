@@ -1,8 +1,8 @@
 """Hierarchical spans: the tracing primitive behind ``forecast --trace``.
 
-A forecast that is slow or degrades to a partial ensemble used to be
-opaque: :attr:`~repro.core.output.ForecastOutput.timings` is a flat
-per-stage sum with no per-sample, per-retry, or cache-hit attribution.
+A forecast that is slow or fails used to be opaque:
+:attr:`~repro.core.output.ForecastOutput.timings` is a flat per-stage sum
+with no per-retry or cache-hit attribution.
 Spans fix that.  A :class:`Span` times one named region and carries
 key/value attributes; spans nest, so one serving request unfolds into a
 tree::
@@ -12,18 +12,15 @@ tree::
           ├─ stage:scale
           ├─ stage:multiplex     (prompt_tokens, tokens_needed)
           ├─ stage:generate
-          │     ├─ sample_draw   one per draw *attempt* (seed, attempt)
-          │     │     └─ llm:generate
-          │     │           ├─ llm:ingest    prompt → in-context model
-          │     │           └─ llm:decode    constrained sampling loop
-          │     └─ ...
+          │     ├─ llm:ingest         prompt → in-context model
+          │     └─ llm:decode_batch   lockstep constrained sampling
           ├─ stage:demultiplex
           └─ stage:aggregate
 
 A :class:`Tracer` creates spans and maintains an implicit parent per
 thread, so nested ``with tracer.span(...)`` blocks build the tree without
-explicit wiring; sample draws executing on pool threads attach to their
-``stage:generate`` parent explicitly.  Finished root spans land in a
+explicit wiring; work executing on another thread attaches to its parent
+explicitly (``parent=``).  Finished root spans land in a
 thread-safe :class:`SpanCollector`.
 
 The default is :data:`NULL_TRACER`, a :class:`NullTracer` whose spans are
@@ -207,8 +204,8 @@ class Tracer:
 
     ``with tracer.span("name", key=value) as span:`` opens a child of the
     calling thread's innermost open span (or a new root).  Work handed to
-    another thread attaches explicitly: ``tracer.span("sample_draw",
-    parent=generate_span)`` — the span still becomes the ambient parent
+    another thread attaches explicitly: ``tracer.span("task",
+    parent=outer_span)`` — the span still becomes the ambient parent
     *on the executing thread* for its duration, so deeper instrumentation
     (e.g. :meth:`repro.llm.simulated.SimulatedLLM.generate`) nests under
     it automatically.

@@ -4,13 +4,14 @@ The paper's pipeline is one function call; serving heavy traffic needs four
 more things, each a module here:
 
 * :mod:`~repro.serving.engine` — :class:`ForecastEngine`, a thread-pooled
-  service that fans each request's ``num_samples`` independent draws out
-  across workers and re-aggregates them through the paper's median path,
-  bit-identically to sequential execution under the same seed;
+  service that decodes each request's ``num_samples`` independent draws
+  in lockstep (per request, or in the shared cross-request scheduler) and
+  aggregates them through the paper's median path, bit-identically to a
+  direct forecast under the same seed;
 * :mod:`~repro.serving.cache` — :class:`ForecastCache`, a content-addressed
   LRU over (history bytes, config, horizon, seed) digests;
 * :mod:`~repro.serving.policy` — :class:`Deadline` and :class:`RetryPolicy`
-  (bounded exponential backoff, partial-ensemble graceful degradation);
+  (a per-request time budget, bounded exponential backoff);
 * :mod:`~repro.serving.metrics` — :class:`MetricsRegistry` with counters,
   gauges, and p50/p95/p99 latency histograms, exportable as JSON.
 

@@ -1,38 +1,33 @@
 """The concurrent forecast engine.
 
 The engine turns :class:`MultiCastForecaster` — a single-threaded library
-object — into a service: requests are accepted concurrently, each request's
-``num_samples`` independent constrained continuations either fan out across
-a shared thread pool (``execution="pooled"``, the request default; they are
-embarrassingly parallel: the paper medians i.i.d. draws, LLMTime-style) or
-decode in lockstep through one :class:`~repro.llm.batch.BatchedDecoder`
-pass (``execution="batched"``, usually the fastest — see
-``benchmarks/bench_batching.py``), or join the engine's *shared*
-cross-request decode loop (``execution="continuous"``, a
+object — into a service: requests are accepted concurrently on a small
+request pool, and each request's ``num_samples`` independent constrained
+continuations (the paper medians i.i.d. draws, LLMTime-style) decode in
+lockstep, either through the request's own
+:class:`~repro.llm.batch.BatchedDecoder` pass (``execution="batched"``,
+the default) or by joining the engine's *shared* cross-request decode
+loop (``execution="continuous"``, a
 :class:`~repro.scheduling.ContinuousScheduler` backed by a
 :class:`~repro.scheduling.RadixPrefillTree` so requests with overlapping
 histories dedupe their prompt ingest — see
-``benchmarks/bench_scheduler.py``), and the serving policies (result cache,
-deadline, retry, partial-ensemble degradation) wrap the pipeline without
-touching its numerics.  Batched and continuous requests honour deadlines by
-polling between decode steps; per-draw retry does not apply to them (the
-simulated substrates never fail transiently mid-decode).
+``benchmarks/bench_scheduler.py``).  The serving policies (result cache,
+deadline, retry) wrap the pipeline without touching its numerics: the
+deadline is polled between decode steps, and a transient
+:class:`~repro.exceptions.GenerationError` re-runs the whole forecast
+under the retry policy.
 
 Determinism is preserved end to end: the forecaster derives one child seed
-per sample *before* dispatch, every draw builds its own
-``numpy.random.Generator`` from that seed, and results are reassembled in
-sample order — so an engine forecast is bit-identical to a sequential
+per sample up front and every stream samples from its own
+``numpy.random.Generator`` built from that seed, so an engine forecast —
+first attempt or retry — is bit-identical to a direct
 ``MultiCastForecaster.forecast`` under the same seed (a property the test
 suite asserts).
 
-Two distinct pools are used — one for requests, one for sample draws — so a
-saturated request pool can never starve the sample pool (the classic nested
-thread-pool deadlock).
-
 Observability is opt-in and zero-cost when off: pass a
 :class:`~repro.observability.Tracer` to get one ``request`` span per served
-forecast (the pipeline's ``forecast``/``stage:*``/``sample_draw`` spans
-nest beneath it, across threads), and a
+forecast (the pipeline's ``forecast``/``stage:*``/``llm:*`` spans nest
+beneath it, one ``forecast`` span per attempt), and a
 :class:`~repro.observability.RunLedger` to append one JSONL record per
 forecast — config hash, seed, outcome ``ok|partial|failed``, latency,
 token counts, span tree — for post-hoc analysis with
@@ -45,12 +40,10 @@ import threading
 import time
 from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 
-from repro.core.forecaster import MultiCastForecaster, SampleTask
+from repro.core.forecaster import MultiCastForecaster
 from repro.core.spec import ForecastSpec
-from repro.exceptions import ConfigError, GenerationError, ReproError
-from repro.llm.interface import GenerationResult
+from repro.exceptions import ConfigError, ReproError
 from repro.llm.state_cache import IngestStateCache
 from repro.observability.ledger import RunLedger
 from repro.observability.spans import NULL_TRACER, Span
@@ -70,27 +63,11 @@ def _outcome(response: ForecastResponse) -> str:
     return "partial" if response.partial else "ok"
 
 
-class _RequestState:
-    """Per-request bookkeeping shared across sample workers."""
-
-    def __init__(self, deadline: Deadline) -> None:
-        self.deadline = deadline
-        self.max_attempts = 1
-        self._lock = threading.Lock()
-
-    def record_attempts(self, attempts: int) -> None:
-        with self._lock:
-            self.max_attempts = max(self.max_attempts, attempts)
-
-
 class ForecastEngine:
     """Thread-pooled forecast service over the MultiCast pipeline.
 
     Parameters
     ----------
-    num_workers:
-        Sample-draw pool size.  Each request's draws share this pool, so
-        several small requests interleave instead of queueing whole.
     cache:
         Result cache; defaults to a 128-entry LRU.  Pass
         ``ForecastCache(max_entries=0)`` to disable caching entirely.
@@ -103,8 +80,10 @@ class ForecastEngine:
         cache it never short-circuits sampling, so it also accelerates
         requests with different seeds over the same prompt.
     retry:
-        Per-sample-draw retry policy for transient
-        :class:`~repro.exceptions.GenerationError` failures.
+        Request-level retry policy: a forecast that fails with a transient
+        :class:`~repro.exceptions.GenerationError` is re-run from scratch
+        under the same seed, so a retried request is bit-identical to one
+        that succeeded first time.
     metrics:
         Metrics registry; defaults to a fresh private one, exposed as
         ``engine.metrics``.
@@ -134,13 +113,12 @@ class ForecastEngine:
     Example
     -------
     >>> from repro.serving import ForecastEngine, ForecastRequest
-    >>> with ForecastEngine(num_workers=4) as engine:
+    >>> with ForecastEngine() as engine:
     ...     response = engine.forecast(ForecastRequest(history, horizon=8))
     """
 
     def __init__(
         self,
-        num_workers: int = 4,
         *,
         cache: ForecastCache | None = None,
         ingest_cache: IngestStateCache | None = None,
@@ -153,8 +131,6 @@ class ForecastEngine:
         ledger: RunLedger | str | None = None,
         sleep=time.sleep,
     ) -> None:
-        if num_workers < 1:
-            raise ConfigError(f"num_workers must be >= 1, got {num_workers}")
         if max_concurrent_requests < 1:
             raise ConfigError(
                 f"max_concurrent_requests must be >= 1, "
@@ -176,9 +152,6 @@ class ForecastEngine:
         else:
             self.ledger = RunLedger(ledger)
         self._sleep = sleep
-        self._samples = ThreadPoolExecutor(
-            max_workers=num_workers, thread_name_prefix="mc-sample"
-        )
         self._requests = ThreadPoolExecutor(
             max_workers=max_concurrent_requests, thread_name_prefix="mc-request"
         )
@@ -196,41 +169,34 @@ class ForecastEngine:
         self,
         request: ForecastRequest | ForecastSpec,
         *,
-        on_progress=None,
         ledger_extra: dict | None = None,
     ) -> ForecastResponse:
-        """Serve one request on the calling thread (draws still fan out).
+        """Serve one request on the calling thread.
 
         Accepts a :class:`ForecastRequest` or, directly, an executable
         :class:`~repro.core.spec.ForecastSpec` (wrapped via
         :meth:`ForecastRequest.from_spec` with default serving options).
 
-        ``on_progress`` is an optional ``(completed, requested)`` callable
-        invoked from worker threads as sample draws retire (pooled
-        execution only — lockstep modes retire their streams inside one
-        decode pass); the gateway uses it to stream partial-ensemble
-        progress.  ``ledger_extra`` carries admission metadata
-        (``tenant``, ``admission``, ``enqueued_at``) from the gateway into
-        the request span and ledger record; neither affects the forecast.
+        ``ledger_extra`` carries admission metadata (``tenant``,
+        ``admission``, ``enqueued_at``) from the gateway into the request
+        span and ledger record; it does not affect the forecast.
         """
         self._check_open()
-        return self._execute(self._coerce(request), on_progress, ledger_extra)
+        return self._execute(self._coerce(request), ledger_extra)
 
     def submit(
         self,
         request: ForecastRequest | ForecastSpec,
         *,
-        on_progress=None,
         ledger_extra: dict | None = None,
     ) -> Future:
         """Enqueue a request (or spec); returns a Future of :class:`ForecastResponse`.
 
-        Accepts the same ``on_progress``/``ledger_extra`` hooks as
-        :meth:`forecast`.
+        Accepts the same ``ledger_extra`` hook as :meth:`forecast`.
         """
         self._check_open()
         return self._requests.submit(
-            self._execute, self._coerce(request), on_progress, ledger_extra
+            self._execute, self._coerce(request), ledger_extra
         )
 
     @staticmethod
@@ -261,11 +227,10 @@ class ForecastEngine:
         return snapshot
 
     def close(self) -> None:
-        """Shut both pools down; in-flight work completes first."""
+        """Shut the request pool down; in-flight work completes first."""
         if not self._closed:
             self._closed = True
             self._requests.shutdown(wait=True)
-            self._samples.shutdown(wait=True)
             if self._scheduler is not None:
                 self._scheduler.close()
 
@@ -296,7 +261,6 @@ class ForecastEngine:
     def _execute(
         self,
         request: ForecastRequest,
-        on_progress=None,
         ledger_extra: dict | None = None,
     ) -> ForecastResponse:
         admission = dict(ledger_extra) if ledger_extra else {}
@@ -327,7 +291,7 @@ class ForecastEngine:
                         "queue_wait",
                         round(admission["gateway_queue_wait_seconds"], 9),
                     )
-            response = self._serve(request, key, span, on_progress)
+            response = self._serve(request, key, span)
             if span.is_recording:
                 span.set_attribute("cache_hit", response.cache_hit)
                 span.set_attribute("outcome", _outcome(response))
@@ -340,7 +304,7 @@ class ForecastEngine:
         return response
 
     def _serve(
-        self, request: ForecastRequest, key: str, span: Span, on_progress=None
+        self, request: ForecastRequest, key: str, span: Span
     ) -> ForecastResponse:
         started = time.perf_counter()
         self.metrics.counter("requests_total").inc()
@@ -357,25 +321,15 @@ class ForecastEngine:
             self.metrics.counter("cache_misses").inc()
 
         deadline = Deadline(request.deadline_seconds)
-        state = _RequestState(deadline)
-        # "sequential" maps to "pooled" here: engine draws always run on
-        # the shared sample pool (outputs are bit-identical regardless).
-        if request.execution in ("batched", "continuous"):
-            execution = request.execution
-        else:
-            execution = "pooled"
         forecaster = MultiCastForecaster(
             request.config,
-            sample_runner=self._make_runner(state, on_progress),
             tracer=self.tracer,
             state_cache=self.ingest_cache,
-            stop=(
-                (lambda: deadline.expired)
-                if execution in ("batched", "continuous")
-                else None
-            ),
+            stop=lambda: deadline.expired,
             scheduler=(
-                self._scheduler_instance() if execution == "continuous" else None
+                self._scheduler_instance()
+                if request.execution == "continuous"
+                else None
             ),
         )
         spec = ForecastSpec.from_config(
@@ -383,12 +337,23 @@ class ForecastEngine:
             series=request.history,
             horizon=request.horizon,
             seed=request.effective_seed,
-            execution=execution,
+            execution=request.execution,
         )
+        attempts = 0
+
+        def attempt():
+            nonlocal attempts
+            attempts += 1
+            return forecaster.forecast(spec)
 
         self.metrics.gauge("inflight_requests").add(1)
         try:
-            output = forecaster.forecast(spec)
+            output, _ = self.retry.run(
+                attempt,
+                deadline=deadline,
+                sleep=self._sleep,
+                on_retry=lambda *_: self.metrics.counter("request_retries").inc(),
+            )
         except ReproError as error:
             wall = time.perf_counter() - started
             message = str(error)
@@ -405,7 +370,7 @@ class ForecastEngine:
             return ForecastResponse(
                 request,
                 error=message,
-                attempts=state.max_attempts,
+                attempts=max(1, attempts),
                 wall_seconds=wall,
             )
         finally:
@@ -442,7 +407,7 @@ class ForecastEngine:
             request,
             output=output,
             partial=partial,
-            attempts=state.max_attempts,
+            attempts=attempts,
             wall_seconds=wall,
         )
 
@@ -516,80 +481,3 @@ class ForecastEngine:
             },
         }
         return record
-
-    # -- sample fan-out -------------------------------------------------------
-
-    def _make_runner(self, state: _RequestState, on_progress=None):
-        """Build the per-request sample runner handed to the forecaster.
-
-        Tasks go to the shared sample pool; each is wrapped in the retry
-        policy.  Gathering honours the request deadline: draws that are
-        still pending when it expires are abandoned (reported as ``None``),
-        which downstream becomes a partial-ensemble forecast — or, when
-        nothing finished in time, a deadline error.
-
-        ``on_progress`` (when given) is called as ``(completed, total)``
-        from pool threads each time a draw finishes successfully — the
-        gateway's streaming hook.  Progress is advisory: a callback that
-        raises is dropped, never the draw.
-        """
-
-        def runner(
-            tasks: list[SampleTask],
-        ) -> list[GenerationResult | None]:
-            futures = [
-                self._samples.submit(self._draw_with_retry, task, state)
-                for task in tasks
-            ]
-            if on_progress is not None:
-                total = len(tasks)
-                progress_lock = threading.Lock()
-                completed_box = [0]
-
-                def _notify(future) -> None:
-                    if future.cancelled() or future.exception() is not None:
-                        return
-                    with progress_lock:
-                        completed_box[0] += 1
-                        completed = completed_box[0]
-                    try:
-                        on_progress(completed, total)
-                    except Exception:  # noqa: BLE001 - advisory hook
-                        pass
-
-                for future in futures:
-                    future.add_done_callback(_notify)
-            results: list[GenerationResult | None] = []
-            for future in futures:
-                try:
-                    results.append(future.result(timeout=state.deadline.remaining()))
-                except FutureTimeoutError:
-                    future.cancel()
-                    self.metrics.counter("samples_abandoned").inc()
-                    results.append(None)
-                except GenerationError:
-                    self.metrics.counter("samples_failed").inc()
-                    results.append(None)
-            return results
-
-        return runner
-
-    def _draw_with_retry(
-        self, task: SampleTask, state: _RequestState
-    ) -> GenerationResult:
-        def on_retry(attempt: int, error: Exception) -> None:
-            del attempt, error
-            self.metrics.counter("sample_retries").inc()
-
-        try:
-            result, attempts = self.retry.run(
-                task,
-                deadline=state.deadline,
-                sleep=self._sleep,
-                on_retry=on_retry,
-            )
-        except GenerationError:
-            state.record_attempts(self.retry.max_attempts)
-            raise
-        state.record_attempts(attempts)
-        return result

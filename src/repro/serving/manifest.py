@@ -16,8 +16,8 @@ one per series/configuration pair::
 
 ``num_samples`` is the canonical sample-count key (the legacy ``samples``
 spelling is rewritten by the spec layer's shared alias table, with a
-deprecation warning); ``execution`` selects ``"pooled"`` (default)
-or ``"batched"`` ensemble decoding, with bit-identical outputs.
+deprecation warning); ``execution`` selects ``"batched"`` (default)
+or ``"continuous"`` ensemble decoding, with bit-identical outputs.
 ``strategy`` picks a prompt strategy (``"patch"``, ``"decompose"``,
 ``"auto"``, ...) and ``patch_length`` sizes the patch strategy's
 aggregation window — both validated by ``MultiCastConfig``.
@@ -80,7 +80,7 @@ class BatchJob:
     csv: str | None = None
     deadline: float | None = None
     use_cache: bool = True
-    execution: str = "pooled"
+    execution: str = "batched"
     tenant: str = ""
 
     def to_request(self, history: np.ndarray) -> ForecastRequest:
@@ -119,7 +119,7 @@ def _parse_job(index: int, raw: dict) -> BatchJob:
         )
     if "horizon" not in raw:
         raise ConfigError(f"job {index} is missing the required 'horizon'")
-    if raw.get("execution", "pooled") not in EXECUTION_MODES:
+    if raw.get("execution", "batched") not in EXECUTION_MODES:
         raise ConfigError(
             f"job {index}: execution must be one of {EXECUTION_MODES}, "
             f"got {raw['execution']!r}"
@@ -144,7 +144,7 @@ def _parse_job(index: int, raw: dict) -> BatchJob:
         csv=raw.get("csv"),
         deadline=raw.get("deadline"),
         use_cache=bool(raw.get("use_cache", True)),
-        execution=str(raw.get("execution", "pooled")),
+        execution=str(raw.get("execution", "batched")),
         tenant=str(raw.get("tenant", "")),
     )
 

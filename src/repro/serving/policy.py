@@ -1,8 +1,8 @@
 """Robustness policy: per-request deadlines and bounded retry with backoff.
 
-Sample draws against a real hosted LLM fail transiently (rate limits,
-connection resets) and take unpredictable time; the serving engine wraps
-every draw in a :class:`RetryPolicy` and bounds the whole request with a
+Calls to a real hosted LLM fail transiently (rate limits, connection
+resets) and take unpredictable time; the serving engine wraps every
+forecast in a :class:`RetryPolicy` and bounds the whole request with a
 :class:`Deadline`.  Both are plain, dependency-free objects so tests can
 inject a recording ``sleep`` and virtual clocks.
 """
@@ -104,8 +104,9 @@ class RetryPolicy:
 
         Returns ``(result, attempts_used)``.  Retries only on
         :class:`GenerationError` (the substrate's transient-failure type);
-        anything else propagates immediately.  A deadline that expires
-        between attempts stops retrying and re-raises the last error.
+        anything else propagates immediately.  A deadline that has expired
+        when an attempt fails, or expires between attempts, stops retrying
+        and re-raises the last error (``on_retry`` is not called for it).
         """
         delays = self.delays()
         for attempt in range(1, self.max_attempts + 1):
@@ -116,7 +117,9 @@ class RetryPolicy:
             try:
                 return task(), attempt
             except GenerationError as error:
-                if attempt == self.max_attempts:
+                if attempt == self.max_attempts or (
+                    deadline is not None and deadline.expired
+                ):
                     raise
                 if on_retry is not None:
                     on_retry(attempt, error)

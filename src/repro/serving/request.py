@@ -38,9 +38,9 @@ class ForecastRequest:
     seed:
         Optional override of ``config.seed`` for this request.
     deadline_seconds:
-        Wall-clock budget.  Sample draws that have not finished when it
-        expires are abandoned; if at least one finished, the response
-        carries a partial-ensemble forecast flagged ``partial=True``.
+        Wall-clock budget, polled between decode steps.  A request still
+        decoding when it expires is abandoned and answered with an error
+        response naming the deadline.
     use_cache:
         Set False to bypass the engine's result cache (both lookup and
         store) for this request.
@@ -52,13 +52,11 @@ class ForecastRequest:
         digest: identical specs from different tenants coalesce to one
         computation.  Empty for direct engine calls.
     execution:
-        How the sample ensemble is driven — ``"batched"`` (lockstep
-        batched decoding), ``"pooled"`` (the engine's shared sample pool;
-        the default, and what ``"sequential"`` also maps to inside the
-        engine, whose draws always run on pool workers) or
-        ``"continuous"`` (the engine's shared cross-request scheduler;
-        see :mod:`repro.scheduling`) — bit-identical outputs in every
-        mode, so the result cache ignores it.
+        How the sample ensemble is decoded — ``"batched"`` (the request's
+        own lockstep decoder, the default) or ``"continuous"`` (the
+        engine's shared cross-request scheduler; see
+        :mod:`repro.scheduling`) — bit-identical outputs in both modes,
+        so the result cache ignores it.
     """
 
     history: np.ndarray
@@ -69,7 +67,7 @@ class ForecastRequest:
     use_cache: bool = True
     name: str = ""
     tenant: str = ""
-    execution: str = "pooled"
+    execution: str = "batched"
 
     def __post_init__(self) -> None:
         self.history = np.asarray(self.history, dtype=float)

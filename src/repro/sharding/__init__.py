@@ -1,8 +1,8 @@
 """Multi-process sharded serving: decode workers beyond one GIL.
 
-Every earlier throughput lever — pooled draws, lockstep batched decoding
-(:mod:`repro.llm.batch`), the cross-request continuous scheduler
-(:mod:`repro.scheduling`) — executes inside one Python process.  This
+Both in-process throughput levers — lockstep batched decoding
+(:mod:`repro.llm.batch`) and the cross-request continuous scheduler
+(:mod:`repro.scheduling`) — execute inside one Python process.  This
 package scales *out* instead of up:
 
 * :class:`ShardedEngine` — the supervisor: fans

@@ -1,8 +1,8 @@
 """The sharded engine: fan requests out to decode worker *processes*.
 
-Every execution mode the serving stack has grown — pooled draws, lockstep
-batched decoding, the continuous scheduler — still decodes inside one
-Python process, so one GIL is the ceiling on sustained throughput.
+Both decode paths of the serving stack — per-request lockstep batched
+decoding and the continuous scheduler — decode inside one Python
+process, so one GIL is the ceiling on sustained throughput.
 :class:`ShardedEngine` is the escape hatch production LLM-serving stacks
 take when a single executor saturates: N worker processes (see
 :mod:`repro.sharding.worker`), each a complete single-process serving
@@ -100,7 +100,6 @@ class _Pending:
         request: ForecastRequest,
         digest: str,
         future: Future,
-        on_progress,
         extra: dict,
         root: Span | None,
     ) -> None:
@@ -108,7 +107,6 @@ class _Pending:
         self.request = request
         self.digest = digest
         self.future = future
-        self.on_progress = on_progress
         self.extra = extra
         self.root = root
         self.attempt = 1
@@ -129,8 +127,6 @@ class ShardedEngine:
         ``multiprocessing`` start method; ``"spawn"`` (default) is safe
         alongside the supervisor's threads, ``"fork"`` starts faster on
         Linux when no other threads are live yet.
-    worker_threads:
-        Sample-draw pool size inside each worker.
     result_cache_entries / ingest_cache_tokens / max_resident_streams:
         Forwarded to each worker's engine (``0`` disables the respective
         cache, exactly as in-process).
@@ -161,7 +157,6 @@ class ShardedEngine:
         num_shards: int = 2,
         *,
         start_method: str = "spawn",
-        worker_threads: int = 4,
         result_cache_entries: int = 128,
         ingest_cache_tokens: int = 262_144,
         max_resident_streams: int = 64,
@@ -190,7 +185,6 @@ class ShardedEngine:
             spill_dir = tempfile.mkdtemp(prefix="multicast-spill-")
         self.spill_dir = spill_dir
         self._options = {
-            "worker_threads": int(worker_threads),
             "result_cache_entries": int(result_cache_entries),
             "ingest_cache_tokens": int(ingest_cache_tokens),
             "max_resident_streams": int(max_resident_streams),
@@ -298,25 +292,20 @@ class ShardedEngine:
         self,
         request: ForecastRequest | ForecastSpec,
         *,
-        on_progress=None,
         ledger_extra: dict | None = None,
     ) -> ForecastResponse:
         """Serve one request, blocking until its shard returns the result."""
-        return self.submit(
-            request, on_progress=on_progress, ledger_extra=ledger_extra
-        ).result()
+        return self.submit(request, ledger_extra=ledger_extra).result()
 
     def submit(
         self,
         request: ForecastRequest | ForecastSpec,
         *,
-        on_progress=None,
         ledger_extra: dict | None = None,
     ) -> Future:
         """Route a request to its shard; returns a Future of the response.
 
-        Same hooks as :meth:`ForecastEngine.submit`: ``on_progress`` is
-        relayed from the worker as sample draws retire, ``ledger_extra``
+        Same hook as :meth:`ForecastEngine.submit`: ``ledger_extra``
         carries the gateway's admission metadata into the worker's ledger
         record (``enqueued_at`` is converted to
         ``gateway_queue_wait_seconds`` supervisor-side, since
@@ -349,7 +338,7 @@ class ShardedEngine:
         with self._lock:
             self._next_id += 1
             pending = _Pending(
-                self._next_id, request, digest, future, on_progress, extra, root
+                self._next_id, request, digest, future, extra, root
             )
             self._pending[pending.id] = pending
             self._dispatch_locked(pending)
@@ -429,15 +418,6 @@ class ShardedEngine:
                 with self._lock:
                     shard = self._shards[message["shard"]]
                     shard.worker_pid = message["worker_pid"]
-            elif kind == "progress":
-                with self._lock:
-                    pending = self._pending.get(message["id"])
-                callback = pending.on_progress if pending else None
-                if callback is not None:
-                    try:
-                        callback(message["completed"], message["requested"])
-                    except Exception:  # noqa: BLE001 - advisory hook
-                        pass
             elif kind == "result":
                 self._finish(message)
 

@@ -5,9 +5,9 @@ separate OS process running :func:`worker_main` — a plain module-level
 function so the ``spawn`` start method (the safe default in a process
 that also runs supervisor threads) can import and launch it.  A worker
 owns a complete single-process stack: its own
-:class:`~repro.serving.engine.ForecastEngine` (sample pool, result
-cache, :class:`~repro.scheduling.ContinuousScheduler`, radix prefill
-tree) over its own :class:`~repro.llm.state_cache.IngestStateCache`,
+:class:`~repro.serving.engine.ForecastEngine` (result cache,
+:class:`~repro.scheduling.ContinuousScheduler`, radix prefill tree) over
+its own :class:`~repro.llm.state_cache.IngestStateCache`,
 backed by the *shared* :class:`~repro.sharding.SpillStore` directory so
 prefill state evicted here outlives this process and can warm any other
 shard.
@@ -15,20 +15,20 @@ shard.
 Protocol (all messages are plain picklable dicts):
 
 * inbound ``{"kind": "request", "id", "request", "ledger_extra"}`` —
-  serve one :class:`~repro.serving.request.ForecastRequest`; results and
-  progress go to the shared result queue tagged with ``id``;
+  serve one :class:`~repro.serving.request.ForecastRequest`; the result
+  goes to the shared result queue tagged with ``id``;
 * inbound ``{"kind": "stop"}`` — drain, close the engine, exit 0;
 * outbound ``{"kind": "ready", ...}`` — sent once after the engine is
   built (the supervisor uses it to mark the shard healthy);
-* outbound ``{"kind": "progress", "id", "completed", "requested"}``;
 * outbound ``{"kind": "result", "id", "shard", "worker_pid", ...}`` —
   the response fields plus the worker-side ledger record (the supervisor
   enriches it with ``shard``/``worker_pid`` and appends it, so one
   process writes the ledger file).
 
 Requests are served one at a time in arrival order: a shard is a serial
-decode loop (internally sample-parallel), which keeps per-shard ordering
-trivial and makes queue depth an honest backpressure signal.
+decode loop (each request's ensemble decodes in lockstep), which keeps
+per-shard ordering trivial and makes queue depth an honest backpressure
+signal.
 
 Workers run the null tracer — span trees are process-local object graphs
 that do not cross a pickle boundary; the supervisor contributes
@@ -82,7 +82,6 @@ def _build_engine(options: dict):
         )
     ledger = _CollectingLedger()
     engine = ForecastEngine(
-        num_workers=int(options.get("worker_threads", 4)),
         cache=ForecastCache(max_entries=int(options.get("result_cache_entries", 128))),
         ingest_cache=IngestStateCache(
             max_tokens=int(options.get("ingest_cache_tokens", 262_144)),
@@ -116,22 +115,9 @@ def worker_main(shard: int, options: dict, tasks, results) -> None:
             request = message["request"]
             if chaos_delay > 0.0:
                 time.sleep(chaos_delay)
-
-            def on_progress(completed: int, requested: int) -> None:
-                results.put(
-                    {
-                        "kind": "progress",
-                        "id": request_id,
-                        "completed": int(completed),
-                        "requested": int(requested),
-                    }
-                )
-
             try:
                 response = engine.forecast(
-                    request,
-                    on_progress=on_progress,
-                    ledger_extra=message.get("ledger_extra"),
+                    request, ledger_extra=message.get("ledger_extra")
                 )
                 payload = {
                     "output": response.output,

@@ -4,7 +4,7 @@ A prompt strategy owns the *serialisation half* of a forecast: how the
 rescaled history becomes a token prompt, how many tokens the continuation
 needs, which grammar constrains generation, and how generated streams are
 parsed back into value space.  The sampling half — prompt ingest, the
-ingest-state cache, batched/continuous/pooled decoding — stays in
+ingest-state cache, batched/continuous decoding — stays in
 :class:`~repro.core.forecaster.MultiCastForecaster` and is handed to the
 strategy as a :class:`StrategyContext`, so every strategy (including the
 sub-requests a composite strategy issues) flows through the engine,
@@ -60,8 +60,7 @@ class StrategyContext(ABC):
 
     @abstractmethod
     def run_samples(
-        self, vocabulary, prompt_ids, tokens_needed, constraint, seed,
-        generate_span,
+        self, vocabulary, prompt_ids, tokens_needed, constraint, seed
     ):
         """Draw the configured sample ensemble for one prompt.
 

@@ -76,10 +76,9 @@ class PatchAggregateStrategy(PromptStrategy):
             mux_span.set_attribute("tokens_needed", tokens_needed)
             mux_span.set_attribute("patch_length", patch)
 
-        with clock.stage("generate") as generate_span:
+        with clock.stage("generate"):
             streams, generated, simulated, ingest_info = context.run_samples(
-                vocabulary, prompt_ids, tokens_needed, constraint, seed,
-                generate_span,
+                vocabulary, prompt_ids, tokens_needed, constraint, seed
             )
 
         with clock.stage("demultiplex"):

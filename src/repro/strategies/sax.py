@@ -78,10 +78,9 @@ class SaxStrategy(PromptStrategy):
             mux_span.set_attribute("prompt_tokens", len(prompt_ids))
             mux_span.set_attribute("tokens_needed", tokens_needed)
 
-        with clock.stage("generate") as generate_span:
+        with clock.stage("generate"):
             streams, generated, simulated, ingest_info = context.run_samples(
-                vocabulary, prompt_ids, tokens_needed, constraint, seed,
-                generate_span,
+                vocabulary, prompt_ids, tokens_needed, constraint, seed
             )
 
         with clock.stage("demultiplex"):

@@ -57,18 +57,20 @@ def _generate_fill(
     ]
     constraint = PeriodicPatternConstraint(pattern)
     needed = length * TOKENS_PER_STEP(serialized.codec.num_digits)
-    seeds = child_seeds(rng, config.num_samples)
+    decoder = model.generate_batch(
+        serialized.ids,
+        needed,
+        [
+            np.random.default_rng(seed)
+            for seed in child_seeds(rng, config.num_samples)
+        ],
+        constraint=constraint,
+        # Infill decodes conservatively: the gap is anchored on both
+        # sides, so exploration only hurts.
+        temperature=0.35,
+    )
     samples = np.empty((config.num_samples, length))
-    for s in range(config.num_samples):
-        result = model.generate(
-            serialized.ids,
-            needed,
-            np.random.default_rng(seeds[s]),
-            constraint=constraint,
-            # Infill decodes conservatively: the gap is anchored on both
-            # sides, so exploration only hurts.
-            temperature=0.35,
-        )
+    for s, result in enumerate(decoder.results):
         parsed = parse_token_stream(
             serialized.vocabulary.decode(result.tokens), serialized.codec
         )

@@ -2,11 +2,12 @@
 
 Pins the tentpole contracts of the batched execution path:
 
-* the three execution modes (``batched``, ``pooled``, ``sequential``) are
-  **bit-identical** at the forecaster level, across schemes, SAX, and
+* both execution modes (``batched``, ``continuous``) reproduce, at the
+  forecaster level, the pinned digests of drawing every sample on its own
+  from a fresh prompt ingest — across schemes, SAX, temperatures, and
   cold/warm ingest caches;
 * the :class:`~repro.llm.batch.BatchedDecoder` equals per-stream
-  sequential decoding token for token and log-prob for log-prob on every
+  decoding token for token and log-prob for log-prob on every
   registered backend preset;
 * scheduling behaviour — heterogeneous budgets, retirement, early stop —
   matches its documentation;
@@ -16,6 +17,7 @@ Pins the tentpole contracts of the batched execution path:
   round-trips through the serving layer (engine, request, manifest, CLI).
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -37,13 +39,42 @@ from repro.observability import read_ledger
 from repro.scheduling import ContinuousScheduler
 from repro.serving import ForecastEngine, ForecastRequest, load_manifest
 
-EXECUTIONS = ("batched", "pooled", "sequential")
+EXECUTIONS = ("batched", "continuous")
+
+#: ``sha256(values.tobytes() + samples.tobytes())`` of each
+#: :class:`TestForecasterEquivalence` case with every sample drawn on its
+#: own from a fresh ingest of the prompt (the per-draw path), captured
+#: before that path was deleted.  Keys: ``(scheme, quantized)`` and
+#: ``("temperature", value)``.
+PER_DRAW = {
+    ("di", False): "7294395b0ef927a3a0d1a856c76c5347a4bb469de24ad1255c8c1df31abfadb9",
+    ("di", True): "355c82a3f9212e8e3e747bbb89b26adf326968f6df5b69a1939330515beeca6a",
+    ("vi", False): "b3a4074d330efadb59b1b3cd2013563235622776322b97b6bf2fd9d3cfaf4076",
+    ("vi", True): "355c82a3f9212e8e3e747bbb89b26adf326968f6df5b69a1939330515beeca6a",
+    ("vc", False): "45aa9ea887506797896d8ec38cc7a6e6face5ccee4d2e2cff52b1521e59327b3",
+    ("vc", True): "32d8a69ba4115729191cb953556c8f3ec2319474c1f4aa36037eb2f5f425eedd",
+    ("temperature", 0.0): (
+        "28034bb589579cff18bbc7c2f294cdd7302cc888bbaf6f772a315f2095f26692"
+    ),
+    ("temperature", 1.5): (
+        "54650fd01d92cea6c897e8bce602d8493e2cca9b8db17fbca68e4f2efb7ccc13"
+    ),
+}
+#: The CSV ``repro-multicast forecast --dataset gas_rate --num-samples 2
+#: --horizon 5 --output`` wrote on the per-draw path.
+PER_DRAW_CLI_CSV = "6d357701718772aef2d83b10c92277fed61ef5cc333c83e5408efb79b09416d6"
 
 
 def _history(n=36, d=2):
     t = np.arange(n, dtype=float)
     columns = [np.sin(t / 3.0) * 5.0 + 20.0, np.cos(t / 4.0) * 3.0 + 10.0]
     return np.stack(columns[:d], axis=1)
+
+
+def _digest(output) -> str:
+    return hashlib.sha256(
+        output.values.tobytes() + output.samples.tobytes()
+    ).hexdigest()
 
 
 def _spec(**overrides):
@@ -55,7 +86,7 @@ def _spec(**overrides):
 
 
 class TestForecasterEquivalence:
-    """All three execution modes produce byte-identical outputs."""
+    """Both execution modes reproduce the per-draw digests byte for byte."""
 
     @pytest.mark.parametrize("scheme", ["di", "vi", "vc"])
     @pytest.mark.parametrize("quantized", [False, True])
@@ -66,21 +97,15 @@ class TestForecasterEquivalence:
             mode: MultiCastForecaster().forecast(spec.replace(execution=mode))
             for mode in EXECUTIONS
         }
-        reference = outputs["sequential"]
-        for mode in ("batched", "pooled"):
-            output = outputs[mode]
-            assert output.values.tobytes() == reference.values.tobytes()
-            assert output.samples.tobytes() == reference.samples.tobytes()
+        reference = outputs["batched"]
+        for mode, output in outputs.items():
+            assert _digest(output) == PER_DRAW[(scheme, quantized)]
             assert output.generated_tokens == reference.generated_tokens
             assert output.simulated_seconds == reference.simulated_seconds
-        assert outputs["batched"].metadata["execution"] == "batched"
-        assert outputs["sequential"].metadata["execution"] == "sequential"
+            assert output.metadata["execution"] == mode
 
     def test_batched_warm_cache_identity(self):
         spec = _spec(scheme="vi")
-        reference = MultiCastForecaster().forecast(
-            spec.replace(execution="sequential")
-        )
         cache = IngestStateCache()
         cold = MultiCastForecaster(state_cache=cache).forecast(spec)
         warm = MultiCastForecaster(state_cache=cache).forecast(spec)
@@ -88,20 +113,17 @@ class TestForecasterEquivalence:
         assert warm.metadata["ingest"] == "fork"
         assert warm.metadata["ingested_tokens"] == 0
         for output in (cold, warm):
-            assert output.values.tobytes() == reference.values.tobytes()
-            assert output.samples.tobytes() == reference.samples.tobytes()
+            assert _digest(output) == PER_DRAW[("vi", False)]
 
     @pytest.mark.parametrize("temperature", [0.0, 1.5])
     def test_temperature_extremes_stay_identical(self, temperature):
         # Greedy decoding (temperature 0) consumes no RNG at all; a hot
         # temperature splits the batch into many groups.  Both ends must
-        # still match the sequential path exactly.
+        # still match the per-draw digest exactly.
         spec = _spec(temperature=temperature, num_samples=4)
-        batched = MultiCastForecaster().forecast(spec)
-        sequential = MultiCastForecaster().forecast(
-            spec.replace(execution="sequential")
-        )
-        assert batched.samples.tobytes() == sequential.samples.tobytes()
+        for mode in EXECUTIONS:
+            output = MultiCastForecaster().forecast(spec.replace(execution=mode))
+            assert _digest(output) == PER_DRAW[("temperature", temperature)]
 
     def test_batched_metadata_reports_occupancy(self):
         output = MultiCastForecaster().forecast(_spec())
@@ -114,7 +136,7 @@ class TestForecasterEquivalence:
 
 
 class TestDecoderEquivalence:
-    """BatchedDecoder == per-stream sequential decode on every preset."""
+    """BatchedDecoder == per-stream decode on every preset."""
 
     CONTEXT = [1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4, 5, 1, 2, 3, 4, 5] * 2
     BUDGET = 6
@@ -350,7 +372,8 @@ class TestForecastSpec:
             _spec().replace(num_samples=0)
 
     def test_kwargs_alongside_spec_rejected(self):
-        with pytest.raises(ConfigError, match="inside the ForecastSpec"):
+        # horizon and seed live inside the spec; forecast() takes no others.
+        with pytest.raises(TypeError, match="horizon"):
             MultiCastForecaster().forecast(_spec(), horizon=3)
 
     def test_sax_dict_coerced(self):
@@ -382,7 +405,7 @@ class TestServingIntegration:
     def test_engine_accepts_spec_and_tracks_occupancy(self, tmp_path):
         spec = _spec()
         ledger = tmp_path / "runs.jsonl"
-        with ForecastEngine(num_workers=2, ledger=ledger) as engine:
+        with ForecastEngine(ledger=ledger) as engine:
             response = engine.forecast(spec)
             submitted = engine.submit(spec.replace(seed=8)).result()
             snapshot = engine.metrics_snapshot()
@@ -397,11 +420,11 @@ class TestServingIntegration:
         assert [r["execution"] for r in records] == ["batched", "batched"]
 
     def test_request_from_spec_round_trips(self):
-        spec = _spec(execution="pooled")
+        spec = _spec(execution="continuous")
         request = ForecastRequest.from_spec(
             spec, deadline_seconds=30.0, name="demo"
         )
-        assert request.execution == "pooled"
+        assert request.execution == "continuous"
         assert request.horizon == spec.horizon
         assert request.effective_seed == spec.seed
         assert request.deadline_seconds == 30.0
@@ -421,7 +444,7 @@ class TestServingIntegration:
         jobs = load_manifest(path)
         assert jobs[0].execution == "batched"
         assert jobs[0].config.num_samples == 2
-        assert jobs[1].execution == "pooled"  # serving default
+        assert jobs[1].execution == "batched"  # serving default
         request = jobs[0].to_request(_history())
         assert request.execution == "batched"
 
@@ -434,8 +457,7 @@ class TestServingIntegration:
             load_manifest(path)
 
     def test_cli_execution_flag_is_value_neutral(self, tmp_path, capsys):
-        outputs = {}
-        for mode in ("batched", "sequential"):
+        for mode in EXECUTIONS:
             out_path = tmp_path / f"{mode}.csv"
             code = main([
                 "forecast", "--dataset", "gas_rate", "--num-samples", "2",
@@ -443,6 +465,6 @@ class TestServingIntegration:
                 "--output", str(out_path),
             ])
             assert code == 0
-            outputs[mode] = out_path.read_text()
+            digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+            assert digest == PER_DRAW_CLI_CSV
         capsys.readouterr()
-        assert outputs["batched"] == outputs["sequential"]

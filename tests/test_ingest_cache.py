@@ -6,12 +6,14 @@ Three layers are covered:
   fork / extend / miss resolution, LRU-by-token eviction, thread safety,
   and the ``max_tokens=0`` disabled mode;
 * the regression that matters most: with a fixed seed, forecasts are
-  **bit-identical** with and without ingest caching (and with and without
-  shared prefill), across multiplexing schemes and both raw/SAX paths;
+  **bit-identical** with and without ingest caching, on both decoders,
+  across multiplexing schemes and both raw/SAX paths — and equal to the
+  pinned digests of drawing each sample from its own prompt ingest;
 * wiring: engine counters and ledger field, and the rolling-origin
   backtest's incremental prompt extension.
 """
 
+import hashlib
 import threading
 
 import numpy as np
@@ -198,7 +200,9 @@ class TestSimulatedPrefill:
         session = llm.prefill(prompt)
         assert session.outcome == "miss"
         assert session.ingested_tokens == len(prompt)
-        a = llm.generate(prompt, 8, np.random.default_rng(5), session=session)
+        (a,) = llm.generate_batch(
+            prompt, 8, [np.random.default_rng(5)], session=session
+        ).results
         b = llm.generate(prompt, 8, np.random.default_rng(5))
         assert a.tokens == b.tokens and a.log_probs == b.log_probs
 
@@ -219,14 +223,38 @@ class TestSimulatedPrefill:
         llm = get_model("llama2-7b-sim", vocab_size=11)
         session = llm.prefill([0, 1, 2, 10])
         with pytest.raises(GenerationError, match="session"):
-            llm.generate([0, 1, 2, 3], 4, np.random.default_rng(0), session=session)
+            llm.generate_batch(
+                [0, 1, 2, 3], 4, [np.random.default_rng(0)], session=session
+            )
 
 
-def _forecast(config, state_cache=None, share_prefill=True):
-    forecaster = MultiCastForecaster(
-        state_cache=state_cache, share_prefill=share_prefill
+#: ``sha256(values.tobytes() + samples.tobytes())`` of each case with every
+#: sample drawn on its own from a fresh ingest of the prompt (the per-draw
+#: path the shared prefill and the ingest cache replaced), captured before
+#: that path was deleted.
+PER_DRAW = {
+    "di-raw": "622840eaec18678d3611e86f5654bf00bf70c178cc2bf27bd978ebf241266116",
+    "di-sax": "7f8cd5939134b50913ee359061d6892c57261f411ad3478fdf65b4de87f7dce3",
+    "vi-raw": "3f079ef4786138456265d7a3516f55b4af809e3564c430665471d374bd26fc97",
+    "vi-sax": "7f8cd5939134b50913ee359061d6892c57261f411ad3478fdf65b4de87f7dce3",
+    "vc-raw": "c30815214ae4c26fd617dba99c0ca9ffd06d9fffe9d8ee5be4a4a5d1da6ec4da",
+    "vc-sax": "14cc0ce81f08cb4a57504e4027bc951e3fa5997b34409095f8cd7d2549d50cfe",
+    "extended": "b5960abbc21326b641172dc78a23512acee3e50966bd7637fff3b5e6ad6317a2",
+    "charge": "73dc2d6c5ab580170c09bd43effb1dfcd0c17a6ad4162da01c8c5d06ea120829",
+}
+
+
+def _digest(output) -> str:
+    return hashlib.sha256(
+        output.values.tobytes() + output.samples.tobytes()
+    ).hexdigest()
+
+
+def _forecast(config, state_cache=None, execution="batched"):
+    forecaster = MultiCastForecaster(state_cache=state_cache)
+    spec = ForecastSpec.from_config(
+        config, series=HISTORY, horizon=5, execution=execution
     )
-    spec = ForecastSpec.from_config(config, series=HISTORY, horizon=5)
     return forecaster.forecast(spec)
 
 
@@ -237,16 +265,16 @@ class TestBitIdentity:
     @pytest.mark.parametrize("sax", [None, SaxConfig()], ids=["raw", "sax"])
     def test_cached_and_uncached_forecasts_are_bit_identical(self, scheme, sax):
         config = MultiCastConfig(scheme=scheme, sax=sax, num_samples=3, seed=123)
-        baseline = _forecast(config, share_prefill=False)  # legacy per-draw path
-        shared = _forecast(config)  # shared prefill, no cache
+        baseline = _forecast(config)  # no cache
         cache = IngestStateCache()
         cold = _forecast(config, state_cache=cache)  # cache miss
         warm = _forecast(config, state_cache=cache)  # cache fork
+        continuous = _forecast(config, execution="continuous")
         assert cold.metadata["ingest"] == "miss"
         assert warm.metadata["ingest"] == "fork"
-        for output in (shared, cold, warm):
-            assert output.values.tobytes() == baseline.values.tobytes()
-            assert output.samples.tobytes() == baseline.samples.tobytes()
+        expected = PER_DRAW[f"{scheme}-{'raw' if sax is None else 'sax'}"]
+        for output in (baseline, cold, warm, continuous):
+            assert _digest(output) == expected
             assert output.prompt_tokens == baseline.prompt_tokens
             assert output.generated_tokens == baseline.generated_tokens
             assert output.simulated_seconds == baseline.simulated_seconds
@@ -260,15 +288,17 @@ class TestBitIdentity:
             ForecastSpec.from_config(config, series=HISTORY[:55], horizon=4)
         )
         assert extended.metadata["ingest"] == "extend"
-        baseline = MultiCastForecaster().forecast(
-            ForecastSpec.from_config(config, series=HISTORY[:55], horizon=4)
+        continuous = MultiCastForecaster().forecast(
+            ForecastSpec.from_config(
+                config, series=HISTORY[:55], horizon=4, execution="continuous"
+            )
         )
-        assert extended.values.tobytes() == baseline.values.tobytes()
-        assert extended.samples.tobytes() == baseline.samples.tobytes()
+        assert _digest(extended) == _digest(continuous) == PER_DRAW["extended"]
 
     def test_simulated_seconds_charge_ingest_once(self):
         config = MultiCastConfig(scheme="di", num_samples=4, seed=0)
         output = _forecast(config)
+        assert _digest(output) == PER_DRAW["charge"]
         llm = get_model(config.model, vocab_size=11)
         per_sample = output.generated_tokens // 4
         expected = llm.cost.seconds(output.prompt_tokens, 0) + 4 * llm.cost.seconds(
@@ -284,7 +314,6 @@ class TestEngineWiring:
         ledger_path = tmp_path / "ledger.jsonl"
         config = MultiCastConfig(num_samples=2, seed=0)
         with ForecastEngine(
-            num_workers=2,
             cache=ForecastCache(max_entries=0),  # isolate the ingest cache
             ledger=str(ledger_path),
         ) as engine:
@@ -308,7 +337,7 @@ class TestEngineWiring:
 
         config = MultiCastConfig(num_samples=2, seed=0)
         with ForecastEngine(
-            num_workers=2, ingest_cache=IngestStateCache(max_tokens=0)
+            ingest_cache=IngestStateCache(max_tokens=0)
         ) as engine:
             response = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
         assert response.ok

@@ -73,7 +73,7 @@ def test_zero_shot_prompt_past_every_checkpoint(execution):
 @pytest.mark.parametrize("execution", EXECUTIONS)
 def test_backtest_windows_through_every_ingest_outcome(execution):
     full = electricity(n=140, seed=7).values
-    with ForecastEngine(num_workers=1) as engine:
+    with ForecastEngine() as engine:
         for rows, seed, prompt_tokens, outcome, digest in BACKTEST:
             spec = ForecastSpec(
                 series=full[:rows], seed=seed, execution=execution, **SETTINGS

@@ -1,5 +1,7 @@
 """Tests for the LLMTime baseline (zero-shot univariate LLM forecasting)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ class TestConfig:
 
 
 class TestUnivariate:
+    def test_samples_match_per_sample_draws(self):
+        # sha256 of this forecast when every sample was drawn by its own
+        # generate() call; the one generate_batch call must match it.
+        output = LLMTime(num_samples=3, seed=0).forecast_univariate(
+            _sine(), horizon=10
+        )
+        digest = hashlib.sha256(
+            output.values.tobytes() + output.samples.tobytes()
+        ).hexdigest()
+        assert digest == (
+            "c0be150e41d6843f4d659ee329000a54aade4c7fda504a13884f7fb81cdac20c"
+        )
+
     def test_output_shapes_and_accounting(self):
         model = LLMTime(num_samples=3, seed=0)
         output = model.forecast_univariate(_sine(), horizon=10)

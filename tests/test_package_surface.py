@@ -44,21 +44,16 @@ class TestTopLevelApi:
         output = MultiCastForecaster().forecast(spec)
         assert output.values.shape == future.shape
 
-    def test_legacy_forecast_call_warns_but_matches(self):
-        from repro import ForecastSpec, MultiCastConfig, MultiCastForecaster
+    def test_bare_array_forecast_call_is_rejected(self):
+        from repro import MultiCastForecaster
         from repro.data import gas_rate
+        from repro.exceptions import ConfigError
 
         history, future = gas_rate().train_test_split()
-        config = MultiCastConfig(scheme="vi", num_samples=2)
-        with pytest.warns(DeprecationWarning, match="ForecastSpec"):
-            legacy = MultiCastForecaster(config).forecast(
-                history, horizon=len(future)
-            )
-        spec = ForecastSpec.from_config(
-            config, series=history, horizon=len(future)
-        )
-        modern = MultiCastForecaster().forecast(spec)
-        assert np.array_equal(legacy.values, modern.values)
+        with pytest.raises(ConfigError, match="ForecastSpec"):
+            MultiCastForecaster().forecast(history)
+        with pytest.raises(TypeError):
+            MultiCastForecaster().forecast(history, len(future))
 
     def test_version_is_exposed(self):
         import repro

@@ -388,11 +388,11 @@ class TestEngineContinuous:
     @pytest.mark.parametrize("scheme", ["di", "vi", "vc"])
     @pytest.mark.parametrize("sax", [None, SaxConfig(segment_length=4)])
     def test_continuous_matches_batched_cold_and_warm(self, scheme, sax):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             batched = engine.forecast(
                 _request("batched", scheme=scheme, sax=sax, use_cache=False)
             )
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             cold = engine.forecast(
                 _request("continuous", scheme=scheme, sax=sax, use_cache=False)
             )
@@ -414,7 +414,7 @@ class TestEngineContinuous:
         assert warm.output.metadata["ingest"] == "fork"
 
     def test_shared_tree_forks_across_tenants(self):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             first = engine.forecast(_request("continuous", seed=1, use_cache=False))
             second = engine.forecast(_request("continuous", seed=2, use_cache=False))
             snapshot = engine.metrics_snapshot()
@@ -426,7 +426,7 @@ class TestEngineContinuous:
         assert snapshot["scheduler"]["completed"] == 2
 
     def test_scheduler_created_lazily(self):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             engine.forecast(_request("batched", use_cache=False))
             assert "scheduler" not in engine.metrics_snapshot()
             engine.forecast(_request("continuous", use_cache=False))
@@ -434,7 +434,7 @@ class TestEngineContinuous:
 
     def test_ledger_records_execution_and_queue_wait(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        with ForecastEngine(num_workers=2, ledger=str(path)) as engine:
+        with ForecastEngine(ledger=str(path)) as engine:
             engine.forecast(_request("continuous", use_cache=False))
         record = json.loads(path.read_text().strip().splitlines()[-1])
         assert record["execution"] == "continuous"
@@ -451,7 +451,7 @@ class TestEngineContinuous:
             deadline_seconds=1e-9,
             use_cache=False,
         )
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             response = engine.forecast(request)
         # Every stream was abandoned before its first step: a clean
         # deadline error, not a hang.
@@ -471,7 +471,7 @@ class TestSubmitContention:
             _request("continuous", seed=seed, use_cache=False)
             for seed in (1, 2, 3)
         ]
-        with ForecastEngine(num_workers=4, max_concurrent_requests=4) as engine:
+        with ForecastEngine(max_concurrent_requests=4) as engine:
             reference = [
                 engine.forecast(_request("batched", seed=seed, use_cache=False))
                 for seed in (1, 2, 3)

@@ -5,6 +5,7 @@ The flaky/slow backend models follow the injection pattern of
 registry, exercised through the full pipeline.
 """
 
+import hashlib
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.data import synthetic_multivariate
 from repro.exceptions import ConfigError, GenerationError
 from repro.llm import ModelSpec, TokenCostModel, register_model
 from repro.llm.ppm import PPMLanguageModel
+from repro.observability import read_ledger
 from repro.serving import (
     Deadline,
     ForecastCache,
@@ -33,6 +35,22 @@ from repro.serving import (
 
 HISTORY = synthetic_multivariate(n=100, num_dims=2, seed=0).values
 
+#: ``sha256(values.tobytes() + samples.tobytes())`` of each
+#: :class:`TestEngineEquivalence` case with every sample drawn on its own
+#: from a fresh ingest of the prompt (the per-draw path), captured before
+#: that path was deleted.
+PER_DRAW = {
+    "di": "08d4d9280ea336d1dd8f8729d5409246b2f616420b6bcd0797657cc9cdcc9bc9",
+    "vc": "c2ebb488784bcea75ce6db113f0e14f28d5dfe5e8634f52766e73c89abd54069",
+    "sax": "310587af36c88a0a3781f2cb2c20d9103b1f8b814197ae5e0b2396c5ab3a608d",
+}
+
+
+def _digest(output) -> str:
+    return hashlib.sha256(
+        output.values.tobytes() + output.samples.tobytes()
+    ).hexdigest()
+
 
 def _output(config=None, horizon=5, seed=0):
     config = config or MultiCastConfig(num_samples=2, seed=seed)
@@ -41,7 +59,11 @@ def _output(config=None, horizon=5, seed=0):
 
 
 class _FlakyPPM(PPMLanguageModel):
-    """Fails the first ``fail_first`` reset() calls (shared counter), then works."""
+    """Fails the first ``remaining`` prompt ingests (shared counter), then works.
+
+    ``reset`` runs on every ingest that misses the cache, and a failed
+    ingest deposits nothing, so each retried attempt ingests again.
+    """
 
     failures = {"remaining": 0}
     lock = threading.Lock()
@@ -55,17 +77,18 @@ class _FlakyPPM(PPMLanguageModel):
 
 
 class _SlowPPM(PPMLanguageModel):
-    """Sleeps before decoding — every draw blows the deadline.
+    """Sleeps in every scored decode step, so a deadline fires mid-decode.
 
-    The delay sits in ``decode`` (not ``reset``) because prompt ingest is
-    shared across draws; deadline tests need each *draw* to be slow.
+    The delay sits in ``next_distribution_batch``, which both decoders call
+    once per scored step; the engine polls its deadline between steps.
     """
 
-    delay = 0.3
+    delay = 0.02
 
-    def decode(self, *args, **kwargs):
-        time.sleep(self.delay)
-        return super().decode(*args, **kwargs)
+    @classmethod
+    def next_distribution_batch(cls, models):
+        time.sleep(cls.delay)
+        return super().next_distribution_batch(models)
 
 
 def _register(name, factory):
@@ -252,37 +275,37 @@ class TestMetrics:
 class TestEngineEquivalence:
     @pytest.mark.parametrize("scheme", ["di", "vc"])
     def test_parallel_matches_sequential_exactly(self, scheme):
-        """The headline determinism property: engine fan-out is bit-identical
-        to sequential MultiCastForecaster.forecast under a fixed seed."""
+        """The headline determinism property: a served forecast, on either
+        decoder, is bit-identical to drawing each sample on its own under
+        a fixed seed (the pinned per-draw digest)."""
         config = MultiCastConfig(scheme=scheme, num_samples=5, seed=42)
-        sequential = MultiCastForecaster().forecast(
-            ForecastSpec.from_config(
-                config, series=HISTORY, horizon=7, execution="sequential"
-            )
-        )
-        with ForecastEngine(num_workers=4) as engine:
-            served = engine.forecast(ForecastRequest(HISTORY, 7, config=config))
-        assert served.ok and not served.partial
-        assert np.array_equal(served.output.values, sequential.values)
-        assert np.array_equal(served.output.samples, sequential.samples)
+        with ForecastEngine() as engine:
+            for execution in ("batched", "continuous"):
+                served = engine.forecast(
+                    ForecastRequest(
+                        HISTORY, 7, config=config, execution=execution,
+                        use_cache=False,
+                    )
+                )
+                assert served.ok and not served.partial
+                assert _digest(served.output) == PER_DRAW[scheme]
 
     def test_sax_and_seed_override_equivalence(self):
         config = MultiCastConfig(num_samples=4, sax=SaxConfig(), seed=0)
-        sequential = MultiCastForecaster().forecast(
-            ForecastSpec.from_config(
-                config, series=HISTORY, horizon=9, seed=5, execution="sequential"
-            )
-        )
-        with ForecastEngine(num_workers=3) as engine:
-            served = engine.forecast(
-                ForecastRequest(HISTORY, 9, config=config, seed=5)
-            )
-        assert np.array_equal(served.output.samples, sequential.samples)
+        with ForecastEngine() as engine:
+            for execution in ("batched", "continuous"):
+                served = engine.forecast(
+                    ForecastRequest(
+                        HISTORY, 9, config=config, seed=5,
+                        execution=execution, use_cache=False,
+                    )
+                )
+                assert _digest(served.output) == PER_DRAW["sax"]
 
 
 class TestEngineServing:
     def test_cache_hit_on_repeat_and_isolation_between_configs(self):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             request = ForecastRequest(
                 HISTORY, 5, config=MultiCastConfig(num_samples=2)
             )
@@ -296,7 +319,7 @@ class TestEngineServing:
         assert engine.metrics.counter("cache_hits").value == 1
 
     def test_use_cache_false_bypasses(self):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             request = ForecastRequest(
                 HISTORY, 5, config=MultiCastConfig(num_samples=2), use_cache=False
             )
@@ -312,7 +335,7 @@ class TestEngineServing:
             ForecastRequest(HISTORY, 4, config=good, name="ok-2"),
         ]
         requests[1].history = np.full((10, 2), np.nan)
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             responses = engine.forecast_batch(requests)
         assert [r.name for r in responses] == ["ok-1", "bad-nan", "ok-2"]
         assert responses[0].ok and responses[2].ok
@@ -323,19 +346,22 @@ class TestEngineServing:
         _FlakyPPM.failures["remaining"] = 2
         config = MultiCastConfig(num_samples=3, model="serving-flaky", seed=0)
         with ForecastEngine(
-            num_workers=2, retry=RetryPolicy(max_attempts=3, base_delay=0.001)
+            retry=RetryPolicy(max_attempts=3, base_delay=0.001)
         ) as engine:
             response = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
             assert response.ok and not response.partial
             assert response.attempts >= 2
-            assert engine.metrics.counter("sample_retries").value >= 2
+            assert engine.metrics.counter("request_retries").value >= 2
+        # The retried request is bit-identical to one that never failed.
+        clean = _output(config, horizon=4)
+        assert _digest(response.output) == _digest(clean)
 
     def test_permanent_failure_yields_error_response(self):
         _register("serving-flaky", lambda v: _FlakyPPM(v, max_order=3))
         _FlakyPPM.failures["remaining"] = 10**9
         config = MultiCastConfig(num_samples=2, model="serving-flaky")
         with ForecastEngine(
-            num_workers=2, retry=RetryPolicy(max_attempts=2, base_delay=0.0)
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0)
         ) as engine:
             response = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
             assert not response.ok
@@ -343,26 +369,47 @@ class TestEngineServing:
             assert engine.metrics.counter("requests_failed").value == 1
         _FlakyPPM.failures["remaining"] = 0
 
-    def test_deadline_expiry_degrades_to_partial_ensemble(self):
+    def test_deadline_expiry_mid_decode_fails_the_request(self, tmp_path):
         _register("serving-slow", lambda v: _SlowPPM(v, max_order=3))
         config = MultiCastConfig(num_samples=3, model="serving-slow", seed=0)
-        # One worker serialises the slow draws: the first (~0.3 s) finishes
-        # inside the 0.45 s deadline, the remaining two are abandoned.
-        with ForecastEngine(num_workers=1, cache=ForecastCache(0)) as engine:
+        ledger = tmp_path / "runs.jsonl"
+        # Ingest is fast; 24 scored steps at 0.02 s each run well past the
+        # 0.1 s deadline, which the decoder sees between two steps.
+        with ForecastEngine(ledger=ledger) as engine:
             response = engine.forecast(
-                ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.45)
+                ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.1)
             )
-            assert response.ok and response.partial
-            assert response.output.metadata["completed_samples"] < 3
-            assert response.output.values.shape == (4, 2)
-            assert np.isfinite(response.output.values).all()
-            assert engine.metrics.counter("samples_abandoned").value >= 1
-            assert engine.metrics.counter("requests_partial").value == 1
+            assert not response.ok and response.output is None
+            assert "deadline of 0.1s exceeded" in response.error
+            assert engine.metrics.counter("requests_deadline_exceeded").value == 1
+            assert engine.metrics.counter("requests_failed").value == 1
+            assert engine.metrics.counter("request_retries").value == 0
+        (record,) = read_ledger(ledger)
+        assert record["outcome"] == "failed"
+        assert "deadline" in record["error"]
+
+    def test_partial_results_are_not_cached(self):
+        _register("serving-slow", lambda v: _SlowPPM(v, max_order=3))
+        config = MultiCastConfig(num_samples=3, model="serving-slow", seed=0)
+        with ForecastEngine() as engine:
+            # The deadline cuts the decode short: nothing partial is stored.
+            cut = engine.forecast(
+                ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.1)
+            )
+            assert not cut.ok
+            assert len(engine.cache) == 0
+            # The same request without a deadline is computed afresh, then cached.
+            full = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
+            assert full.ok and not full.cache_hit
+            assert len(engine.cache) == 1
+            repeat = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
+            assert repeat.cache_hit
+        assert _digest(full.output) == _digest(_output(config, horizon=4))
 
     def test_deadline_with_no_completed_samples_is_an_error(self):
         _register("serving-slow", lambda v: _SlowPPM(v, max_order=3))
         config = MultiCastConfig(num_samples=2, model="serving-slow", seed=1)
-        with ForecastEngine(num_workers=1, cache=ForecastCache(0)) as engine:
+        with ForecastEngine(cache=ForecastCache(0)) as engine:
             response = engine.forecast(
                 ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.05)
             )
@@ -370,18 +417,8 @@ class TestEngineServing:
             assert "deadline" in response.error
             assert engine.metrics.counter("requests_deadline_exceeded").value == 1
 
-    def test_partial_results_are_not_cached(self):
-        _register("serving-slow", lambda v: _SlowPPM(v, max_order=3))
-        config = MultiCastConfig(num_samples=3, model="serving-slow", seed=0)
-        with ForecastEngine(num_workers=1) as engine:
-            first = engine.forecast(
-                ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.45)
-            )
-            assert first.partial
-            assert len(engine.cache) == 0
-
     def test_metrics_snapshot_includes_stages_and_cache(self):
-        with ForecastEngine(num_workers=2) as engine:
+        with ForecastEngine() as engine:
             engine.forecast(
                 ForecastRequest(HISTORY, 4, config=MultiCastConfig(num_samples=2))
             )
@@ -393,7 +430,7 @@ class TestEngineServing:
         assert snapshot["cache"]["misses"] == 1
 
     def test_closed_engine_rejects_work(self):
-        engine = ForecastEngine(num_workers=1)
+        engine = ForecastEngine()
         engine.close()
         with pytest.raises(ConfigError):
             engine.forecast(ForecastRequest(HISTORY, 4))
@@ -404,7 +441,7 @@ class TestEngineServing:
         with pytest.raises(ConfigError):
             ForecastRequest(HISTORY, 5, deadline_seconds=0.0)
         with pytest.raises(ConfigError):
-            ForecastEngine(num_workers=0)
+            ForecastEngine(max_concurrent_requests=0)
 
 
 class TestBacktestThroughEngine:
@@ -416,7 +453,7 @@ class TestBacktestThroughEngine:
         sequential = rolling_origin_evaluation(
             "multicast-di", dataset, horizon=8, num_windows=2, spec=spec
         )
-        with ForecastEngine(num_workers=3) as engine:
+        with ForecastEngine() as engine:
             served = rolling_origin_evaluation(
                 "multicast-di", dataset, horizon=8, num_windows=2,
                 spec=spec, engine=engine,
@@ -434,7 +471,7 @@ class TestBacktestThroughEngine:
         from repro.evaluation import rolling_origin_evaluation
 
         dataset = synthetic_multivariate(n=100, num_dims=1, seed=4)
-        with ForecastEngine(num_workers=1) as engine:
+        with ForecastEngine() as engine:
             result = rolling_origin_evaluation(
                 "naive", dataset, horizon=5, num_windows=2, engine=engine
             )

@@ -245,7 +245,7 @@ def test_spill_evicts_oldest_down_to_token_budget(tmp_path):
 
 @pytest.fixture(scope="module")
 def sharded_engine():
-    with ShardedEngine(num_shards=2, worker_threads=2) as engine:
+    with ShardedEngine(num_shards=2) as engine:
         yield engine
 
 
@@ -303,7 +303,7 @@ def test_sharded_engine_validates_configuration():
 def test_ledger_records_carry_shard_identity(tmp_path):
     ledger_path = tmp_path / "shard.jsonl"
     with ShardedEngine(
-        num_shards=2, worker_threads=2, ledger=str(ledger_path)
+        num_shards=2, ledger=str(ledger_path)
     ) as engine:
         response = engine.forecast(_spec(seed=31))
         assert response.ok
@@ -336,7 +336,6 @@ def test_worker_death_mid_request_retries_on_another_shard():
     tracer = Tracer(SpanCollector())
     with ShardedEngine(
         num_shards=2,
-        worker_threads=2,
         chaos_delay_seconds=0.6,
         tracer=tracer,
     ) as engine:
@@ -370,7 +369,6 @@ def test_exhausted_retries_surface_as_typed_shard_failure(tmp_path):
     ledger_path = tmp_path / "failures.jsonl"
     with ShardedEngine(
         num_shards=1,
-        worker_threads=2,
         max_attempts=1,
         chaos_delay_seconds=0.6,
         ledger=str(ledger_path),
@@ -402,7 +400,7 @@ def test_gateway_over_sharded_engine_is_bit_identical(tmp_path):
 
     async def through_gateway():
         engine = ShardedEngine(
-            num_shards=2, worker_threads=2, ledger=str(ledger_path)
+            num_shards=2, ledger=str(ledger_path)
         )
         try:
             async with ForecastGateway(engine) as gateway:

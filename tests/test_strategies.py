@@ -148,7 +148,7 @@ class TestStrategyDeterminism:
         with ForecastEngine() as engine:
             expected = engine.forecast(spec)
         assert expected.ok
-        with ShardedEngine(num_shards=2, worker_threads=2) as sharded:
+        with ShardedEngine(num_shards=2) as sharded:
             for _ in range(2):  # cold then warm worker caches
                 response = sharded.forecast(spec)
                 assert response.ok, response.error

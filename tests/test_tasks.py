@@ -1,5 +1,7 @@
 """Tests for the zero-shot task extensions (imputation, anomaly, changepoint)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ class TestImpute:
         gap_rmse = float(np.sqrt(((filled[mask] - x[mask]) ** 2).mean()))
         mean_fill = float(np.sqrt(((x[mask] - x[~mask].mean()) ** 2).mean()))
         assert gap_rmse < 0.2 * mean_fill
+
+    def test_fill_matches_per_sample_draws(self):
+        # sha256 of this fill when every sample was drawn by its own
+        # generate() call; the one generate_batch call must match it.
+        x = _sine(noise=0.05)
+        mask = np.zeros(200, bool)
+        mask[50:60] = True
+        filled = impute(x, mask, FAST)
+        assert hashlib.sha256(filled.tobytes()).hexdigest() == (
+            "8c8b2889db7b14844eeadf05bde0c68915530d153769450d5b9d87f5006d61e2"
+        )
 
     def test_observed_values_untouched(self):
         x = _sine(noise=0.05)

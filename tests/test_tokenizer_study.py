@@ -1,5 +1,7 @@
 """Tests for the BPE tokenizer-adaptation study."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,14 @@ from repro.experiments.tokenizer_study import (
     paired_digit_vocabulary,
     tokenizer_comparison_table,
 )
+
+#: sha256 of ``_forecast_univariate(series, 6, tokenizer)`` in
+#: ``test_forecast_matches_per_sample_draws``, captured when every sample
+#: was drawn by its own ``generate()`` call.
+PER_SAMPLE_DIGESTS = {
+    "digit": "9fc620f7a932150a287f8d181bb7394119c3f75338bf215362fff58450951b63",
+    "paired": "62c7ae2e352922229b912abd5d5094949a7decf869070fc54d50630f3cb5271e",
+}
 
 
 class TestPairedVocabulary:
@@ -64,6 +74,15 @@ class TestStudy:
             )
             assert forecast.shape == (8,)
             assert np.isfinite(forecast).all()
+
+    @pytest.mark.parametrize("tokenizer", ["digit", "paired"])
+    def test_forecast_matches_per_sample_draws(self, tokenizer):
+        # sha256 of this forecast when every sample was drawn by its own
+        # generate() call; the one generate_batch call must match it.
+        series = np.sin(np.arange(60.0) / 4.0) * 10 + 50
+        forecast = _forecast_univariate(series, 6, tokenizer)
+        digest = hashlib.sha256(forecast.tobytes()).hexdigest()
+        assert digest == PER_SAMPLE_DIGESTS[tokenizer]
 
     def test_unknown_tokenizer_rejected(self):
         with pytest.raises(EncodingError):
