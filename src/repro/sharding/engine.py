@@ -10,19 +10,25 @@ stack over its own model replicas, behind a supervisor that owns
 
 * **routing** — cache-affine rendezvous hashing of the request's
   :func:`~repro.serving.cache.forecast_digest`
-  (:mod:`repro.sharding.routing`), so repeated specs land on the worker
-  that already holds their result-cache entry and prefill state;
-* **health** — worker deaths are detected via process sentinels; the
-  shard is restarted (counted in ``shard_restarts``) and its in-flight
-  requests are retried on other shards (bounded attempts, then a typed
-  :class:`ShardFailure` error response) — the shared
+  (:mod:`repro.sharding.routing`), so a repeated spec lands on the
+  worker that already holds its result-cache entry and prefill state.
+  A worker holds at most one request; the rest routed to it wait in
+  its supervisor-side backlog;
+* **transport** — one duplex pipe per shard, and one supervisor I/O
+  thread (``shard-io``) that waits on every pipe and every process
+  sentinel at once: results, readiness and deaths arrive the same way;
+* **health** — a worker death is restarted (counted in
+  ``shard_restarts``), and the one request on its pipe is retried on
+  another shard (bounded attempts, then a typed :class:`ShardFailure`
+  error response).  Its backlog was never sent, so a death spends
+  none of those requests' attempts.  The shared
   :class:`~repro.sharding.SpillStore` directory means the restarted
   worker rehydrates evicted prefill state instead of starting cold;
 * **result reassembly** — worker results resolve
-  :class:`concurrent.futures.Future` objects in submission order per
-  caller, ledger records are enriched with ``shard``/``worker_pid`` and
-  written by the one supervisor-side ledger, and supervisor spans
-  (``shard:dispatch`` / ``shard:collect``) record placement and attempts.
+  :class:`concurrent.futures.Future` objects, ledger records are
+  enriched with ``shard``/``worker_pid`` and written by the one
+  supervisor-side ledger, and supervisor spans (``shard:dispatch`` /
+  ``shard:collect``) record placement and attempts.
 
 The engine is a drop-in for :class:`~repro.serving.engine.ForecastEngine`
 behind :class:`~repro.gateway.gateway.ForecastGateway` — same
@@ -37,13 +43,15 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
+import pickle
 import shutil
 import tempfile
 import threading
 import time
+from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import Future
+from dataclasses import dataclass, field
 from multiprocessing import connection
 
 from repro.core.spec import ForecastSpec
@@ -57,6 +65,9 @@ from repro.sharding.routing import KEY_PREFIX, rendezvous_ranking
 from repro.sharding.worker import worker_main
 
 __all__ = ["ShardedEngine", "ShardFailure"]
+
+#: How long the constructor waits for each worker's ``ready`` message.
+_START_TIMEOUT_SECONDS = 120.0
 
 
 class ShardFailure(ReproError):
@@ -77,41 +88,78 @@ class ShardFailure(ReproError):
         )
 
 
+@dataclass(eq=False)
 class _Shard:
-    """Supervisor-side bookkeeping for one worker process."""
+    """Supervisor-side bookkeeping for one worker process and its pipe."""
 
-    def __init__(self, index: int, task_queue) -> None:
-        self.index = index
-        self.queue = task_queue
-        self.process = None
-        self.healthy = False
-        self.restarts = 0
-        self.worker_pid: int | None = None
-        self.dispatched_total = 0
-        self.inflight = 0
+    index: int
+    conn: connection.Connection | None = None
+    process: multiprocessing.process.BaseProcess | None = None
+    healthy: bool = False  # until the worker's "ready" message
+    restarts: int = 0
+    worker_pid: int | None = None
+    dispatched_total: int = 0
+    current: _Pending | None = None  # the request on the pipe
+    backlog: deque[_Pending] = field(default_factory=deque)  # not yet sent
+
+    @property
+    def inflight(self) -> int:
+        """Requests routed to this shard and not yet answered."""
+        return int(self.current is not None) + len(self.backlog)
 
 
+@dataclass(eq=False)
 class _Pending:
-    """One in-flight request: identity, retry state, and its future."""
+    """One submitted request: identity, placement state, and its future."""
 
-    def __init__(
-        self,
-        request_id: int,
-        request: ForecastRequest,
-        digest: str,
-        future: Future,
-        extra: dict,
-        root: Span | None,
-    ) -> None:
-        self.id = request_id
-        self.request = request
-        self.digest = digest
-        self.future = future
-        self.extra = extra
-        self.root = root
-        self.attempt = 1
-        self.shard: int | None = None
-        self.failed_shards: set[int] = set()
+    request: ForecastRequest
+    digest: str
+    ranking: list[int]  # every shard, best-first for this digest
+    payload: bytes  # the pickled request message, sent as is
+    future: Future
+    extra: dict
+    root: Span | None
+    attempt: int = 1
+    failed_shards: set[int] = field(default_factory=set)
+
+
+def _failure_record(pending: _Pending, response: ForecastResponse) -> dict:
+    """Ledger record of a request no worker answered: the keys of a
+    :class:`~repro.serving.engine.ForecastEngine` failure record plus
+    ``shard``/``worker_pid``; ``metrics`` is empty (no worker counted it).
+    """
+    request = pending.request
+    wait = pending.extra.get("gateway_queue_wait_seconds")
+    return {
+        "unix_time": round(time.time(), 3),
+        "name": request.name,
+        "tenant": request.tenant,
+        "admission": pending.extra.get("admission", "direct"),
+        "gateway_queue_wait_seconds": None if wait is None else round(wait, 9),
+        "outcome": "failed",
+        "config_hash": pending.digest,
+        "seed": int(request.effective_seed),
+        "scheme": request.config.scheme,
+        "sax": request.config.sax is not None,
+        "model": request.config.model,
+        "horizon": int(request.horizon),
+        "execution": request.execution,
+        "strategy": request.config.strategy,
+        "cache_hit": False,
+        "partial": False,
+        "attempts": response.attempts,
+        "error": response.error,
+        "wall_seconds": 0.0,
+        "prompt_tokens": 0,
+        "generated_tokens": 0,
+        "ingest": None,
+        "queue_wait_seconds": None,
+        "timings": {},
+        "spans": None,
+        "shard": None,
+        "worker_pid": None,
+        "metrics": {},
+    }
 
 
 class ShardedEngine:
@@ -191,40 +239,52 @@ class ShardedEngine:
             "spill_dir": spill_dir if spill_max_tokens > 0 else None,
             "spill_max_tokens": int(spill_max_tokens),
             "chaos_delay_seconds": float(chaos_delay_seconds),
+            "ledger": self.ledger is not None,
         }
         self._ctx = multiprocessing.get_context(start_method)
-        self._results = self._ctx.Queue()
         self._lock = threading.Lock()
-        self._pending: dict[int, _Pending] = {}
-        self._next_id = 0
-        self._closing = False
         self._closed = False
-        self._shards = [_Shard(index, self._ctx.Queue()) for index in range(num_shards)]
-        for shard in self._shards:
-            self._spawn(shard)
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="shard-collect", daemon=True
+        self._shards = [_Shard(index) for index in range(num_shards)]
+        self._io = threading.Thread(
+            target=self._io_loop, name="shard-io", daemon=True
         )
-        self._health = threading.Thread(
-            target=self._health_loop, name="shard-health", daemon=True
-        )
-        self._collector.start()
-        self._health.start()
+        try:
+            for shard in self._shards:
+                self._spawn(shard)
+            for shard in self._shards:  # start-up runs in parallel; await each
+                self._await_ready(shard)
+        except BaseException:
+            self.close()
+            raise
+        self._io.start()
 
     # -- lifecycle ------------------------------------------------------------
 
     def _spawn(self, shard: _Shard) -> None:
-        if self._closing:
-            return
+        conn, worker_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(shard.index, self._options, shard.queue, self._results),
+            args=(self._options, worker_conn),
             name=f"mc-shard-{shard.index}",
             daemon=True,
         )
-        process.start()
-        shard.process = process
-        shard.healthy = True
+        try:
+            process.start()
+        finally:
+            worker_conn.close()  # the worker's copy is the only one left
+        shard.conn, shard.process = conn, process
+
+    def _await_ready(self, shard: _Shard) -> None:
+        try:
+            if shard.conn.poll(_START_TIMEOUT_SECONDS):
+                return self._on_message(shard, shard.conn.recv())
+        except (EOFError, OSError) as error:
+            raise ReproError(
+                f"shard {shard.index} worker died during start-up"
+            ) from error
+        raise ReproError(
+            f"shard {shard.index} worker not ready in {_START_TIMEOUT_SECONDS:g} s"
+        )
 
     def close(self) -> None:
         """Stop every worker; unfinished requests resolve as failed."""
@@ -232,39 +292,27 @@ class ShardedEngine:
             if self._closed:
                 return
             self._closed = True
-            self._closing = True
-            leftovers = list(self._pending.values())
-            self._pending.clear()
-        for shard in self._shards:
-            try:
-                shard.queue.put({"kind": "stop"})
-            except (OSError, ValueError):
-                pass
-        for shard in self._shards:
-            process = shard.process
-            if process is None:
-                continue
-            try:
-                process.join(timeout=10)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5)
-            except (AssertionError, ValueError):
-                pass  # process object raced a restart; daemon flag reaps it
-        self._collector.join(timeout=5)
-        self._health.join(timeout=5)
+            leftovers, processes = [], []
+            for shard in self._shards:
+                leftovers.extend(filter(None, [shard.current, *shard.backlog]))
+                shard.current, shard.backlog = None, deque()
+                if shard.process is not None:
+                    processes.append(shard.process)
+                    try:
+                        shard.conn.send({"kind": "stop"})
+                    except OSError:
+                        pass  # already dead; the I/O thread reaps it
+        for process in processes:
+            process.join(timeout=10)
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5)
+        if self._io.is_alive():
+            self._io.join(timeout=5)
         for pending in leftovers:
-            if not pending.future.done():
-                pending.future.set_result(
-                    ForecastResponse(
-                        pending.request, error="engine closed before completion"
-                    )
-                )
-        self._results.close()
-        self._results.cancel_join_thread()
-        for shard in self._shards:
-            shard.queue.close()
-            shard.queue.cancel_join_thread()
+            self._resolve_failed(
+                pending, "engine closed before completion", pending.attempt
+            )
         if self._owns_spill_dir and self.spill_dir:
             shutil.rmtree(self.spill_dir, ignore_errors=True)
 
@@ -276,17 +324,7 @@ class ShardedEngine:
         """Exit ``with``: close every worker."""
         self.close()
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ConfigError("engine is closed")
-
     # -- public API -----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(request: ForecastRequest | ForecastSpec) -> ForecastRequest:
-        if isinstance(request, ForecastSpec):
-            return ForecastRequest.from_spec(request)
-        return request
 
     def forecast(
         self,
@@ -303,7 +341,7 @@ class ShardedEngine:
         *,
         ledger_extra: dict | None = None,
     ) -> Future:
-        """Route a request to its shard; returns a Future of the response.
+        """Route a request to its shard; returns a Future.
 
         Same hook as :meth:`ForecastEngine.submit`: ``ledger_extra``
         carries the gateway's admission metadata into the worker's ledger
@@ -311,8 +349,8 @@ class ShardedEngine:
         ``gateway_queue_wait_seconds`` supervisor-side, since
         ``time.perf_counter`` readings do not transfer across processes).
         """
-        self._check_open()
-        request = self._coerce(request)
+        if isinstance(request, ForecastSpec):
+            request = ForecastRequest.from_spec(request)
         extra = dict(ledger_extra) if ledger_extra else {}
         enqueued_at = extra.pop("enqueued_at", None)
         if enqueued_at is not None:
@@ -334,14 +372,20 @@ class ShardedEngine:
                     "digest": digest[:KEY_PREFIX],
                 },
             )
+        # Pickled once, here and outside the lock: a retry resends the
+        # same bytes, and an unpicklable request fails its caller rather
+        # than the I/O thread.
+        payload = pickle.dumps(
+            {"kind": "request", "request": request, "ledger_extra": extra or None},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         future: Future = Future()
+        ranking = rendezvous_ranking(digest, range(self.num_shards))
+        pending = _Pending(request, digest, ranking, payload, future, extra, root)
         with self._lock:
-            self._next_id += 1
-            pending = _Pending(
-                self._next_id, request, digest, future, extra, root
-            )
-            self._pending[pending.id] = pending
-            self._dispatch_locked(pending)
+            if self._closed:
+                raise ConfigError("engine is closed")
+            self._route_locked(pending)
         self.metrics.counter("shard_requests_total").inc()
         return future
 
@@ -369,69 +413,92 @@ class ShardedEngine:
             }
         return snapshot
 
-    # -- routing --------------------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
 
-    def _dispatch_locked(self, pending: _Pending) -> None:
-        """Place one pending request on its rendezvous-winning shard.
+    def _route_locked(self, pending: _Pending, *, retry: bool = False) -> None:
+        """Queue a request on its rendezvous-winning shard; send if idle.
 
-        Caller holds ``self._lock``.  Shards that already failed this
-        request are excluded while an alternative exists, so a retry never
-        returns to the worker that just died under it.
+        Caller holds ``self._lock``.  Shards the request already failed
+        on are skipped while another live one exists.  Placement never
+        depends on timing, so per-shard counts repeat for one input.
         """
-        healthy = [shard.index for shard in self._shards if shard.healthy]
-        candidates = [
-            index for index in healthy if index not in pending.failed_shards
-        ]
-        if not candidates:
-            candidates = healthy or [shard.index for shard in self._shards]
-        target = rendezvous_ranking(pending.digest, candidates)[0]
+        live = [shard.index for shard in self._shards if shard.process is not None]
+        candidates = [i for i in live if i not in pending.failed_shards] or live
+        candidates = candidates or range(self.num_shards)  # none could restart
+        target = next(i for i in pending.ranking if i in candidates)
         shard = self._shards[target]
-        pending.shard = target
         shard.dispatched_total += 1
-        shard.inflight += 1
-        self.metrics.gauge(f"shard_{target}_inflight").set(shard.inflight)
+        if retry:
+            shard.backlog.appendleft(pending)  # it was sent before the rest
+        else:
+            shard.backlog.append(pending)
+        self._pump_locked(shard)
+
+    def _pump_locked(self, shard: _Shard) -> None:
+        """Send a ready, idle shard the oldest request routed to it."""
+        if shard.healthy and shard.current is None and shard.backlog:
+            self._send_locked(shard, shard.backlog.popleft())
+        self.metrics.gauge(f"shard_{shard.index}_inflight").set(shard.inflight)
+
+    def _send_locked(self, shard: _Shard, pending: _Pending) -> None:
+        shard.current = pending
         if pending.root is not None:
             dispatch = Span(
-                "shard:dispatch", {"shard": target, "attempt": pending.attempt}
+                "shard:dispatch", {"shard": shard.index, "attempt": pending.attempt}
             )
             dispatch.finish()
             pending.root.children.append(dispatch)
-        shard.queue.put(
-            {
-                "kind": "request",
-                "id": pending.id,
-                "request": pending.request,
-                "ledger_extra": pending.extra or None,
-            }
-        )
+        # The worker is blocked in recv(), so even a payload larger than
+        # the pipe buffer drains without waiting on this process.
+        try:
+            shard.conn.send_bytes(pending.payload)
+        except OSError:
+            pass  # the worker died; the I/O thread retries the request
 
-    # -- result collection ----------------------------------------------------
+    # -- the I/O thread -------------------------------------------------------
 
-    def _collect_loop(self) -> None:
-        while not self._closing:
-            try:
-                message = self._results.get(timeout=0.1)
-            except (queue_module.Empty, OSError, ValueError):
-                continue
-            kind = message.get("kind")
-            if kind == "ready":
-                with self._lock:
-                    shard = self._shards[message["shard"]]
-                    shard.worker_pid = message["worker_pid"]
-            elif kind == "result":
-                self._finish(message)
+    def _io_loop(self) -> None:
+        """Wait on every pipe and sentinel; handle results, readiness, deaths."""
+        while True:
+            with self._lock:
+                live = [shard for shard in self._shards if shard.process is not None]
+                if self._closed and not live:
+                    return
+            handles = {shard.conn: shard for shard in live}
+            handles.update((shard.process.sentinel, shard) for shard in live)
+            # The timeout only bounds how long close() waits when no
+            # worker is left to wake this thread.
+            ready = connection.wait(list(handles), timeout=1.0)
+            # Pipes before sentinels: a result sent just before a death
+            # is delivered rather than retried.
+            ready.sort(key=lambda handle: isinstance(handle, int))
+            dead: set[int] = set()
+            for handle in ready:
+                shard = handles[handle]
+                if shard.index in dead:
+                    continue  # both handles of one death fired
+                if handle is shard.conn:
+                    try:
+                        self._on_message(shard, handle.recv())
+                        continue
+                    except (EOFError, OSError):
+                        pass  # the worker died mid-message
+                dead.add(shard.index)
+                self._handle_death(shard)
 
-    def _finish(self, message: dict) -> None:
+    def _on_message(self, shard: _Shard, message: dict) -> None:
+        pending = None
         with self._lock:
-            pending = self._pending.pop(message["id"], None)
-            if pending is not None and pending.shard is not None:
-                shard = self._shards[pending.shard]
-                shard.inflight = max(0, shard.inflight - 1)
-                self.metrics.gauge(f"shard_{pending.shard}_inflight").set(
-                    shard.inflight
-                )
-        if pending is None:
-            return  # duplicate after a crash-retry raced a late result
+            if message["kind"] == "ready":
+                shard.worker_pid = message["worker_pid"]
+                shard.healthy = True
+            else:
+                pending, shard.current = shard.current, None
+            self._pump_locked(shard)
+        if pending is not None:  # None: close() already resolved it
+            self._finish(shard, pending, message)
+
+    def _finish(self, shard: _Shard, pending: _Pending, message: dict) -> None:
         attempts = max(int(message["attempts"]), pending.attempt)
         response = ForecastResponse(
             pending.request,
@@ -445,147 +512,89 @@ class ShardedEngine:
         if pending.root is not None:
             collect = Span(
                 "shard:collect",
-                {
-                    "shard": message["shard"],
-                    "worker_pid": message["worker_pid"],
-                    "attempt": pending.attempt,
-                },
+                {"shard": shard.index, "worker_pid": shard.worker_pid,
+                 "attempt": pending.attempt},
             )
             collect.finish()
             pending.root.children.append(collect)
-            pending.root.set_attribute("outcome", self._outcome(response))
-            pending.root.finish()
-            self.tracer.collector.add(pending.root)
-            response.trace = pending.root
+            self._end_trace(pending, response)
         self.metrics.histogram("shard_request_seconds").observe(
             float(message["wall_seconds"])
         )
-        record = message.get("record")
+        record = message["record"]
         if record is not None and self.ledger is not None:
-            record["shard"] = message["shard"]
-            record["worker_pid"] = message["worker_pid"]
+            record["shard"] = shard.index
+            record["worker_pid"] = shard.worker_pid
             record["attempts"] = attempts
             self.ledger.append(record)
         pending.future.set_result(response)
 
-    @staticmethod
-    def _outcome(response: ForecastResponse) -> str:
-        if not response.ok:
-            return "failed"
-        return "partial" if response.partial else "ok"
+    def _end_trace(self, pending: _Pending, response: ForecastResponse) -> None:
+        outcome = "partial" if response.partial else "ok"
+        pending.root.set_attribute("outcome", outcome if response.ok else "failed")
+        if response.error is not None:
+            pending.root.set_attribute("error", response.error)
+        pending.root.finish()
+        self.tracer.collector.add(pending.root)
+        response.trace = pending.root
 
     # -- health ---------------------------------------------------------------
 
-    def _health_loop(self) -> None:
-        while not self._closing:
-            with self._lock:
-                try:
-                    sentinels = {
-                        shard.process.sentinel: shard
-                        for shard in self._shards
-                        if shard.healthy and shard.process is not None
-                    }
-                except ValueError:
-                    continue  # a process object was closed mid-snapshot
-            if not sentinels:
-                time.sleep(0.05)
-                continue
-            try:
-                dead = connection.wait(list(sentinels), timeout=0.2)
-            except OSError:
-                continue
-            for sentinel in dead:
-                if self._closing:
-                    return
-                self._handle_death(sentinels[sentinel])
-
     def _handle_death(self, shard: _Shard) -> None:
-        """Restart a dead worker and retry its in-flight requests elsewhere."""
-        failures: list[_Pending] = []
+        """Restart a dead worker and retry the one request on its pipe.
+
+        Its backlog was never sent, so it spends no attempt: it waits for
+        the restarted worker, or moves on if no worker could be started.
+        """
+        exhausted = retry = None
         with self._lock:
-            if self._closing or not shard.healthy:
-                return
+            pending, shard.current = shard.current, None
             shard.healthy = False
+            shard.conn.close()
+            if self._closed:
+                shard.process = None
+                return
             shard.restarts += 1
-            shard.inflight = 0
-            self.metrics.gauge(f"shard_{shard.index}_inflight").set(0)
-            orphans = [
-                pending
-                for pending in self._pending.values()
-                if pending.shard == shard.index
-            ]
-            for pending in orphans:
+            self.metrics.counter("shard_restarts").inc()
+            if pending is not None:
                 pending.failed_shards.add(shard.index)
                 pending.attempt += 1
                 if pending.attempt > self.max_attempts:
-                    del self._pending[pending.id]
-                    failures.append(pending)
+                    exhausted = pending
                 else:
                     self.metrics.counter("shard_retries").inc()
-                    self._dispatch_locked(pending)
-        self.metrics.counter("shard_restarts").inc()
-        for pending in failures:
-            self._fail(pending)
-        # Respawn last: retries have already been placed on *other* shards,
-        # so cache affinity cannot route them straight back to the crash.
-        try:
-            self._spawn(shard)
-        except OSError:
-            pass  # out of processes: the shard stays unhealthy, routing skips it
-
-    def _fail(self, pending: _Pending) -> None:
-        """Resolve a retries-exhausted request as a typed shard failure."""
-        attempts_tried = pending.attempt - 1  # the final increment never ran
-        failure = ShardFailure(tuple(sorted(pending.failed_shards)), attempts_tried)
-        self.metrics.counter("shard_failures").inc()
-        response = ForecastResponse(
-            pending.request, error=str(failure), attempts=attempts_tried
-        )
-        if pending.root is not None:
-            pending.root.set_attribute("outcome", "failed")
-            pending.root.set_attribute("error", str(failure))
-            pending.root.finish()
-            self.tracer.collector.add(pending.root)
-            response.trace = pending.root
-        if self.ledger is not None:
-            request = pending.request
-            self.ledger.append(
-                {
-                    "unix_time": round(time.time(), 3),
-                    "name": request.name,
-                    "tenant": request.tenant,
-                    "admission": pending.extra.get("admission", "direct"),
-                    "gateway_queue_wait_seconds": None,
-                    "outcome": "failed",
-                    "config_hash": pending.digest,
-                    "seed": int(request.effective_seed),
-                    "scheme": request.config.scheme,
-                    "sax": request.config.sax is not None,
-                    "model": request.config.model,
-                    "horizon": int(request.horizon),
-                    "execution": request.execution,
-                    "cache_hit": False,
-                    "partial": False,
-                    "attempts": attempts_tried,
-                    "error": str(failure),
-                    "wall_seconds": 0.0,
-                    "prompt_tokens": 0,
-                    "generated_tokens": 0,
-                    "ingest": None,
-                    "queue_wait_seconds": None,
-                    "timings": {},
-                    "spans": None,
-                    "shard": None,
-                    "worker_pid": None,
-                    "metrics": {},
-                }
+                    retry = pending
+            try:
+                self._spawn(shard)
+            except OSError:
+                shard.process = None  # out of processes: routing skips it
+                orphans, shard.backlog = shard.backlog, deque()
+                for orphan in reversed(orphans):
+                    self._route_locked(orphan, retry=True)
+            if retry is not None:
+                self._route_locked(retry, retry=True)
+            self._pump_locked(shard)  # not ready yet: refreshes its gauge
+        if exhausted is not None:
+            attempts_tried = exhausted.attempt - 1  # the last increment never ran
+            failure = ShardFailure(
+                tuple(sorted(exhausted.failed_shards)), attempts_tried
             )
+            self.metrics.counter("shard_failures").inc()
+            self._resolve_failed(exhausted, str(failure), attempts_tried)
+
+    def _resolve_failed(self, pending: _Pending, error: str, attempts: int) -> None:
+        """Resolve a request no worker answered: response, trace, ledger."""
+        response = ForecastResponse(pending.request, error=error, attempts=attempts)
+        if pending.root is not None:
+            self._end_trace(pending, response)
+        if self.ledger is not None:
+            self.ledger.append(_failure_record(pending, response))
         pending.future.set_result(response)
 
     def __repr__(self) -> str:
         with self._lock:
             healthy = sum(1 for shard in self._shards if shard.healthy)
-            inflight = len(self._pending)
+            inflight = sum(shard.inflight for shard in self._shards)
         return (
             f"ShardedEngine(shards={self.num_shards}, healthy={healthy}, "
             f"inflight={inflight}, pid={os.getpid()})"

@@ -12,23 +12,24 @@ backed by the *shared* :class:`~repro.sharding.SpillStore` directory so
 prefill state evicted here outlives this process and can warm any other
 shard.
 
-Protocol (all messages are plain picklable dicts):
+Protocol (all messages are plain picklable dicts, over one duplex pipe
+per shard):
 
-* inbound ``{"kind": "request", "id", "request", "ledger_extra"}`` —
-  serve one :class:`~repro.serving.request.ForecastRequest`; the result
-  goes to the shared result queue tagged with ``id``;
-* inbound ``{"kind": "stop"}`` — drain, close the engine, exit 0;
-* outbound ``{"kind": "ready", ...}`` — sent once after the engine is
-  built (the supervisor uses it to mark the shard healthy);
-* outbound ``{"kind": "result", "id", "shard", "worker_pid", ...}`` —
-  the response fields plus the worker-side ledger record (the supervisor
-  enriches it with ``shard``/``worker_pid`` and appends it, so one
-  process writes the ledger file).
+* outbound ``{"kind": "ready", "worker_pid"}`` — sent once after the
+  engine is built (the supervisor uses it to mark the shard healthy);
+* inbound ``{"kind": "request", "request", "ledger_extra"}`` — serve one
+  :class:`~repro.serving.request.ForecastRequest`;
+* outbound ``{"kind": "result", ...}`` — the reply to that request: the
+  response fields plus the worker-side ledger record when the
+  supervisor has a ledger (it enriches the record with
+  ``shard``/``worker_pid`` and appends it, so one process writes the
+  ledger file);
+* inbound ``{"kind": "stop"}`` — close the engine, exit 0.
 
-Requests are served one at a time in arrival order: a shard is a serial
-decode loop (each request's ensemble decodes in lockstep), which keeps
-per-shard ordering trivial and makes queue depth an honest backpressure
-signal.
+The supervisor sends a request only to a worker waiting in ``recv``,
+one at a time, and the worker writes only in reply, so neither side
+can block the other on a full pipe buffer.  A shard is a serial decode
+loop (each request's ensemble decodes in lockstep).
 
 Workers run the null tracer — span trees are process-local object graphs
 that do not cross a pickle boundary; the supervisor contributes
@@ -42,6 +43,7 @@ import os
 import time
 
 from repro.observability.ledger import RunLedger
+from repro.serving.request import ForecastResponse
 
 __all__ = ["worker_main"]
 
@@ -50,8 +52,8 @@ class _CollectingLedger(RunLedger):
     """A RunLedger that keeps records in memory instead of writing JSONL.
 
     The worker's engine appends one record per served request; the loop
-    pops it and ships it to the supervisor, which owns the real ledger
-    file (a single writer, enriched with shard identity).
+    ships it to the supervisor, which owns the real ledger file (a single
+    writer, enriched with shard identity).
     """
 
     def __init__(self) -> None:
@@ -59,12 +61,8 @@ class _CollectingLedger(RunLedger):
         self.records: list[dict] = []
 
     def append(self, record: dict) -> None:
-        """Stash the record for :meth:`pop` (nothing touches disk)."""
+        """Keep the record for the loop to ship (nothing touches disk)."""
         self.records.append(record)
-
-    def pop(self) -> dict | None:
-        """The most recent record, removed — or None if nothing landed."""
-        return self.records.pop() if self.records else None
 
 
 def _build_engine(options: dict):
@@ -80,7 +78,8 @@ def _build_engine(options: dict):
             options["spill_dir"],
             max_tokens=int(options.get("spill_max_tokens", 1_048_576)),
         )
-    ledger = _CollectingLedger()
+    # A record costs a full metrics snapshot: build none nobody reads.
+    ledger = _CollectingLedger() if options.get("ledger", True) else None
     engine = ForecastEngine(
         cache=ForecastCache(max_entries=int(options.get("result_cache_entries", 128))),
         ingest_cache=IngestStateCache(
@@ -93,58 +92,50 @@ def _build_engine(options: dict):
     return engine, ledger
 
 
-def worker_main(shard: int, options: dict, tasks, results) -> None:
+def worker_main(options: dict, conn) -> None:
     """Entry point of one decode worker process.
 
-    ``tasks`` is this shard's inbound queue, ``results`` the queue shared
-    by every shard.  ``options`` carries the engine knobs (see
-    :func:`_build_engine`) plus ``chaos_delay_seconds`` — a deliberate
-    pre-serve sleep used by crash-recovery tests to hold a request
-    in-flight long enough to kill the process deterministically.
+    ``conn`` is this worker's end of its shard's duplex pipe.
+    ``options`` carries the engine knobs (see :func:`_build_engine`) plus
+    ``chaos_delay_seconds`` — a deliberate pre-serve sleep used by
+    crash-recovery tests to hold a request in-flight long enough to kill
+    the process deterministically.
     """
     engine, ledger = _build_engine(options)
     chaos_delay = float(options.get("chaos_delay_seconds", 0.0))
-    pid = os.getpid()
-    results.put({"kind": "ready", "shard": shard, "worker_pid": pid})
     try:
+        conn.send({"kind": "ready", "worker_pid": os.getpid()})
         while True:
-            message = tasks.get()
-            if message is None or message.get("kind") == "stop":
+            message = conn.recv()
+            if message["kind"] == "stop":
                 break
-            request_id = message["id"]
-            request = message["request"]
             if chaos_delay > 0.0:
                 time.sleep(chaos_delay)
             try:
                 response = engine.forecast(
-                    request, ledger_extra=message.get("ledger_extra")
+                    message["request"], ledger_extra=message["ledger_extra"]
                 )
-                payload = {
+            except Exception as error:  # noqa: BLE001 - shipped, not raised
+                # The engine converts expected failures into error
+                # responses; anything that still escapes must not kill the
+                # worker loop — report it as a failed response instead.
+                response = ForecastResponse(
+                    message["request"], error=f"worker error: {error}"
+                )
+            record = ledger.records.pop() if ledger and ledger.records else None
+            conn.send(
+                {
+                    "kind": "result",
                     "output": response.output,
                     "error": response.error,
                     "cache_hit": response.cache_hit,
                     "partial": response.partial,
                     "attempts": response.attempts,
                     "wall_seconds": response.wall_seconds,
-                    "record": ledger.pop(),
+                    "record": record,
                 }
-            except Exception as error:  # noqa: BLE001 - shipped, not raised
-                # The engine converts expected failures into error
-                # responses; anything that still escapes must not kill the
-                # worker loop — report it as a failed response instead.
-                payload = {
-                    "output": None,
-                    "error": f"worker error: {error}",
-                    "cache_hit": False,
-                    "partial": False,
-                    "attempts": 1,
-                    "wall_seconds": 0.0,
-                    "record": ledger.pop(),
-                }
-            payload.update(
-                {"kind": "result", "id": request_id, "shard": shard,
-                 "worker_pid": pid}
             )
-            results.put(payload)
+    except (EOFError, OSError):
+        pass  # the supervisor is gone: nobody is left to serve
     finally:
         engine.close()

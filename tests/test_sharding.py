@@ -10,7 +10,9 @@ while its worker is killed.
 
 import asyncio
 import json
+import pickle
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.llm.simulated import get_model
 from repro.llm.state_cache import IngestStateCache
 from repro.observability import SpanCollector, Tracer
 from repro.serving import ForecastEngine, ForecastRequest
+from repro.serving.cache import forecast_digest
 from repro.sharding import (
     ShardedEngine,
     SpillStore,
@@ -365,6 +368,31 @@ def test_worker_death_mid_request_retries_on_another_shard():
         assert again.ok
 
 
+def test_retry_returns_to_a_failed_shard_when_no_other_can_serve():
+    """A worker that cannot be restarted leaves only shards already tried."""
+
+    def out_of_processes(shard):
+        raise OSError("no more processes")
+
+    with ShardedEngine(
+        num_shards=2, max_attempts=3, chaos_delay_seconds=0.6
+    ) as engine:
+        future = engine.submit(_spec(seed=5))
+        first = _await_inflight(engine)
+        engine._spawn = out_of_processes
+        first.process.terminate()
+        deadline = time.time() + 10
+        while first.process is not None and time.time() < deadline:
+            time.sleep(0.01)  # until the I/O thread has handled the death
+        second = _await_inflight(engine)
+        assert second.index != first.index and first.process is None
+        del engine._spawn
+        second.process.terminate()
+
+        response = future.result(timeout=30)
+        assert response.ok, response.error
+        assert response.attempts == 3
+
 def test_exhausted_retries_surface_as_typed_shard_failure(tmp_path):
     ledger_path = tmp_path / "failures.jsonl"
     with ShardedEngine(
@@ -373,7 +401,9 @@ def test_exhausted_retries_surface_as_typed_shard_failure(tmp_path):
         chaos_delay_seconds=0.6,
         ledger=str(ledger_path),
     ) as engine:
-        future = engine.submit(_spec(seed=5))
+        future = engine.submit(
+            _spec(seed=5), ledger_extra={"enqueued_at": time.perf_counter()}
+        )
         victim = _await_inflight(engine)
         victim.process.terminate()
 
@@ -386,6 +416,148 @@ def test_exhausted_retries_surface_as_typed_shard_failure(tmp_path):
     assert record["outcome"] == "failed"
     assert record["attempts"] == 1
     assert record["shard"] is None
+    assert record["gateway_queue_wait_seconds"] >= 0
+    assert record["strategy"] == "default"
+
+    # The same fields an in-process engine writes for a failed request.
+    engine_ledger = tmp_path / "engine.jsonl"
+    bad = ForecastRequest(
+        HISTORY, horizon=4,
+        config=MultiCastConfig(num_samples=2, model="no-such-model"),
+    )
+    with ForecastEngine(ledger=str(engine_ledger)) as engine:
+        assert not engine.forecast(bad).ok
+    engine_record = json.loads(engine_ledger.read_text().splitlines()[0])
+    assert engine_record["outcome"] == "failed"
+    assert set(record) == set(engine_record) | {"shard", "worker_pid"}
+
+
+def test_queued_request_survives_a_worker_crash(tmp_path):
+    """Only the request on the dead worker's pipe spends an attempt."""
+    ledger_path = tmp_path / "crash.jsonl"
+    queued_spec = _spec(seed=62)
+    with ForecastEngine() as engine:
+        expected = engine.forecast(queued_spec)
+    with ShardedEngine(
+        num_shards=1,
+        max_attempts=1,
+        chaos_delay_seconds=0.6,
+        ledger=str(ledger_path),
+    ) as engine:
+        first = engine.submit(
+            ForecastRequest.from_spec(_spec(seed=61), name="first")
+        )
+        queued = engine.submit(
+            ForecastRequest.from_spec(queued_spec, name="queued")
+        )
+        victim = _await_inflight(engine)
+        victim_pid = victim.process.pid
+        victim.process.terminate()
+
+        failed = first.result(timeout=30)
+        assert failed.error.startswith("ShardFailure")
+        served = queued.result(timeout=30)
+        assert served.ok, served.error
+        assert served.attempts == 1
+        assert served.values.tobytes() == expected.values.tobytes()
+        assert (
+            served.output.samples.tobytes()
+            == expected.output.samples.tobytes()
+        )
+        # The first request and the queued one, each dispatched once.
+        assert engine.metrics_snapshot()["shards"]["0"]["dispatched_total"] == 2
+    records = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+    assert sorted(record["name"] for record in records) == ["first", "queued"]
+    (queued_record,) = [r for r in records if r["name"] == "queued"]
+    assert queued_record["outcome"] == "ok"
+    assert queued_record["worker_pid"] != victim_pid
+
+
+def test_close_writes_one_terminal_record_per_unfinished_request(tmp_path):
+    ledger_path = tmp_path / "close.jsonl"
+    engine = ShardedEngine(
+        num_shards=1, chaos_delay_seconds=0.6, ledger=str(ledger_path)
+    )
+    futures = [
+        engine.submit(ForecastRequest.from_spec(_spec(seed=seed), name=name))
+        for seed, name in ((43, "inflight"), (44, "queued"))
+    ]
+    _await_inflight(engine)
+    engine.close()
+    for future in futures:
+        response = future.result(timeout=30)
+        assert response.error == "engine closed before completion"
+    records = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+    assert sorted(record["name"] for record in records) == ["inflight", "queued"]
+    assert {record["outcome"] for record in records} == {"failed"}
+
+
+# -- sharded engine: placement and transport -----------------------------------
+
+
+def _home_shard(spec, shards=(0, 1)):
+    request = ForecastRequest.from_spec(spec)
+    digest = forecast_digest(
+        request.history, request.config, request.horizon, request.seed
+    )
+    return rendezvous_shard(digest, list(shards))
+
+
+def test_same_home_requests_queue_on_their_home_shard(tmp_path):
+    """Placement is a function of the request, not of which worker is idle.
+
+    Both requests are counted on their home shard at submit, so per-shard
+    dispatch counts repeat exactly for one input whatever the timing.
+    """
+    by_home = {}
+    for seed in range(100, 120):
+        by_home.setdefault(_home_shard(_spec(seed=seed)), []).append(seed)
+    home, seeds = next(
+        (home, seeds) for home, seeds in by_home.items() if len(seeds) >= 2
+    )
+    ledger_path = tmp_path / "placement.jsonl"
+    with ShardedEngine(
+        num_shards=2, chaos_delay_seconds=0.3, ledger=str(ledger_path)
+    ) as engine:
+        futures = [
+            engine.submit(
+                ForecastRequest.from_spec(_spec(seed=seed), name=str(seed))
+            )
+            for seed in seeds[:2]
+        ]
+        shards = engine.metrics_snapshot()["shards"]
+        assert shards[str(home)]["dispatched_total"] == 2
+        assert shards[str(home)]["inflight"] == 2
+        assert shards[str(1 - home)]["dispatched_total"] == 0
+        assert all(future.result(timeout=30).ok for future in futures)
+    records = [json.loads(line) for line in ledger_path.read_text().splitlines()]
+    assert {record["shard"] for record in records} == {home}
+
+
+def test_payloads_beyond_the_pipe_buffer_do_not_deadlock(sharded_engine):
+    history = synthetic_multivariate(n=3000, num_dims=4, seed=3).values
+    specs = [
+        ForecastSpec.from_config(
+            MultiCastConfig(num_samples=1, model=MODEL_NAME, seed=seed),
+            series=history,
+            horizon=4,
+        )
+        for seed in range(16)
+    ]
+    request = ForecastRequest.from_spec(specs[0])
+    assert len(pickle.dumps(request)) > 64 * 1024
+    with ForecastEngine() as engine:
+        expected = [engine.forecast(spec) for spec in specs]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = list(pool.map(sharded_engine.submit, specs))
+    for future, direct in zip(futures, expected):
+        response = future.result(timeout=120)
+        assert response.ok, response.error
+        assert response.values.tobytes() == direct.values.tobytes()
+        assert (
+            response.output.samples.tobytes()
+            == direct.output.samples.tobytes()
+        )
 
 
 # -- gateway over a sharded engine ---------------------------------------------
