@@ -41,7 +41,6 @@ from repro.exceptions import (
     ScalingError,
 )
 from repro.observability import RunLedger, Tracer
-from repro.scheduling import ContinuousScheduler, RadixPrefillTree
 from repro.serving import ForecastEngine, ForecastRequest, ForecastResponse
 from repro.strategies import PromptStrategy
 from repro.sweeps import SweepReport, SweepRunner, SweepSpec
@@ -68,8 +67,6 @@ __all__ = [
     "ForecastEngine",
     "ForecastRequest",
     "ForecastResponse",
-    "ContinuousScheduler",
-    "RadixPrefillTree",
     "Tracer",
     "RunLedger",
     "plan_forecast",

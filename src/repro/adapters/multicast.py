@@ -51,7 +51,6 @@ class MultiCastForecaster(BaseEstimator):
         "strategy",
         "patch_length",
         "seed",
-        "execution",
         "engine",
     )
     _TEST_PARAMS = (
@@ -75,7 +74,6 @@ class MultiCastForecaster(BaseEstimator):
         strategy: str = "default",
         patch_length: int = 6,
         seed: int = 0,
-        execution: str = "batched",
         engine=None,
     ) -> None:
         self.scheme = scheme
@@ -91,7 +89,6 @@ class MultiCastForecaster(BaseEstimator):
         self.strategy = strategy
         self.patch_length = patch_length
         self.seed = seed
-        self.execution = execution
         self.engine = engine
         # Validate the pipeline knobs eagerly, sktime-style: a bad
         # parameter should fail at construction, not at predict time.
@@ -115,7 +112,6 @@ class MultiCastForecaster(BaseEstimator):
             strategy=self.strategy,
             patch_length=self.patch_length,
             seed=self.seed,
-            execution=self.execution,
         )
 
     @property

@@ -3,14 +3,11 @@
 Usage (installed as ``repro-multicast``, or ``python -m repro.cli``)::
 
     repro-multicast forecast --dataset gas_rate --scheme di --num-samples 5
-    repro-multicast forecast --dataset gas_rate --execution batched
     repro-multicast forecast --csv mydata.csv --horizon 24 --output fcst.csv
     repro-multicast forecast --dataset gas_rate --trace
     repro-multicast evaluate --dataset weather --methods multicast-di arima
     repro-multicast batch --manifest jobs.json --repeat 2 --metrics-out m.json
     repro-multicast batch --manifest jobs.json --ledger runs.jsonl --trace
-    repro-multicast batch --manifest jobs.json --execution continuous \
-        --max-resident-streams 32
     repro-multicast serve --manifest jobs.json --max-pending 32 \
         --quota-rate 10 --ledger runs.jsonl
     repro-multicast loadtest --requests 5000 --rate 1000 --deadline 2.0
@@ -32,7 +29,6 @@ import sys
 import numpy as np
 
 from repro.core import (
-    EXECUTION_MODES,
     PROMPT_STRATEGIES,
     ForecastSpec,
     MultiCastConfig,
@@ -162,12 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     forecast.add_argument("--model", default="llama2-7b-sim")
     forecast.add_argument("--seed", type=int, default=0)
     forecast.add_argument(
-        "--execution", choices=EXECUTION_MODES, default="batched",
-        help="how the sample ensemble is decoded: per request (batched) or "
-             "in the shared cross-request loop (continuous); bit-identical "
-             "outputs",
-    )
-    forecast.add_argument(
         "--strategy", choices=PROMPT_STRATEGIES, default="default",
         help="prompt strategy: how history is serialised into the prompt "
              "('default' keeps the classic digit/SAX pipeline; see "
@@ -228,10 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_samples_argument(backtest)
     backtest.add_argument("--seed", type=int, default=0)
     backtest.add_argument(
-        "--execution", choices=EXECUTION_MODES, default="batched",
-        help="ensemble decoding for MultiCast windows (bit-identical outputs)",
-    )
-    backtest.add_argument(
         "--strategy", choices=PROMPT_STRATEGIES, default="default",
         help="prompt strategy for MultiCast windows",
     )
@@ -243,15 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON manifest of forecast jobs (see docs/API.md)")
     batch.add_argument("--request-concurrency", type=int, default=2,
                        help="requests in flight at once")
-    batch.add_argument("--execution", choices=EXECUTION_MODES, default=None,
-                       help="override every job's execution mode; "
-                            "'continuous' joins all jobs in one shared "
-                            "decode loop (bit-identical outputs)")
     batch.add_argument("--strategy", choices=PROMPT_STRATEGIES, default=None,
                        help="override every job's prompt strategy")
-    batch.add_argument("--max-resident-streams", type=int, default=64,
-                       help="continuous-scheduler admission cap: total live "
-                            "decode streams across resident requests")
     batch.add_argument("--repeat", type=int, default=1,
                        help="run the whole batch this many times "
                             "(later passes exercise the result cache)")
@@ -290,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-coalesce", action="store_true",
                        help="disable single-flight coalescing of identical "
                             "in-flight requests")
-    serve.add_argument("--execution", choices=EXECUTION_MODES, default=None,
-                       help="override every job's execution mode")
     serve.add_argument("--metrics-out",
                        help="write the engine's metrics snapshot to this JSON path")
     serve.add_argument("--ledger",
@@ -326,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--horizon", type=int, default=3)
     loadtest.add_argument("--deadline", type=float, default=None,
                           help="per-request deadline in seconds")
-    loadtest.add_argument("--execution", choices=EXECUTION_MODES,
-                          default="batched")
     loadtest.add_argument("--max-pending", type=int, default=64)
     loadtest.add_argument("--quota-rate", type=float, default=None)
     loadtest.add_argument("--quota-burst", type=float, default=1.0)
@@ -430,7 +405,6 @@ def _command_forecast(args) -> int:
         model=args.model,
         sax=sax,
         seed=args.seed,
-        execution=args.execution,
         strategy=args.strategy,
         **spec_kwargs,
     )
@@ -563,7 +537,6 @@ def _command_backtest(args) -> int:
     if args.method.startswith("multicast"):
         spec = ForecastSpec(
             num_samples=num_samples,
-            execution=args.execution,
             strategy=args.strategy,
         )
     elif args.method == "llmtime":
@@ -602,10 +575,6 @@ def _command_batch(args) -> int:
                 f"available: {', '.join(sorted(_DATASETS))}"
             )
         request = job.to_request(series)
-        if args.execution is not None:
-            # replace() re-runs __post_init__, so the override is validated
-            # exactly like a manifest-specified execution.
-            request = dataclasses.replace(request, execution=args.execution)
         if args.strategy is not None:
             request = dataclasses.replace(
                 request,
@@ -623,7 +592,6 @@ def _command_batch(args) -> int:
     with ForecastEngine(
         cache=cache,
         max_concurrent_requests=args.request_concurrency,
-        max_resident_streams=args.max_resident_streams,
         tracer=tracer,
         ledger=args.ledger,
     ) as engine:
@@ -649,7 +617,6 @@ def _command_batch(args) -> int:
 
 def _command_serve(args) -> int:
     import asyncio
-    import dataclasses
     import json
 
     from repro.exceptions import ConfigError
@@ -675,10 +642,7 @@ def _command_serve(args) -> int:
                 f"job {job.name!r}: unknown dataset {job.dataset!r}; "
                 f"available: {', '.join(sorted(_DATASETS))}"
             )
-        request = job.to_request(series)
-        if args.execution is not None:
-            request = dataclasses.replace(request, execution=args.execution)
-        requests.append(request)
+        requests.append(job.to_request(series))
 
     quota = (
         TenantQuota(rate=args.quota_rate, burst=args.quota_burst)
@@ -755,7 +719,6 @@ def _command_loadtest(args) -> int:
         horizon=args.horizon,
         num_samples=_resolve_samples(args, default=2),
         model=args.model,
-        execution=args.execution,
         deadline_seconds=args.deadline,
         max_pending=args.max_pending,
         quota_rate=args.quota_rate,

@@ -21,18 +21,13 @@ from repro.core.multiplex import (
 )
 from repro.core.output import ForecastOutput
 from repro.core.planning import ForecastPlan, plan_forecast
-from repro.core.spec import (
-    EXECUTION_MODES,
-    ForecastSpec,
-    canonicalize_sampling_options,
-)
+from repro.core.spec import ForecastSpec, canonicalize_sampling_options
 from repro.core.timing import STAGES, StageClock
 
 __all__ = [
     "MultiCastConfig",
     "SaxConfig",
     "ForecastSpec",
-    "EXECUTION_MODES",
     "PROMPT_STRATEGIES",
     "canonicalize_sampling_options",
     "Estimator",

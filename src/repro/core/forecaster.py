@@ -22,7 +22,7 @@ The serialisation half of both paths lives in :mod:`repro.strategies`
 (``DigitStrategy`` and ``SaxStrategy``, plus the patch-aggregate,
 decompose-then-forecast and auto strategies); the forecaster keeps the
 sampling half — validation, seasonal adjustment, prompt ingest, the
-ingest-state cache, batched/continuous decoding — and hands it to
+ingest-state cache, lockstep batched decoding — and hands it to
 the selected strategy through :class:`_StrategyContext`.
 """
 
@@ -49,7 +49,6 @@ from repro.llm import (
     child_seeds,
     get_model,
 )
-from repro.llm.interface import GenerationResult
 from repro.llm.state_cache import IngestStateCache
 from repro.observability.spans import NULL_TRACER
 
@@ -85,14 +84,12 @@ class MultiCastForecaster:
         tracer=None,
         state_cache: IngestStateCache | None = None,
         stop: Callable[[], bool] | None = None,
-        scheduler=None,
     ) -> None:
         self.config = config or MultiCastConfig()
         self._multiplexer: Multiplexer = get_multiplexer(self.config.scheme)
         self._tracer = NULL_TRACER if tracer is None else tracer
         self._state_cache = state_cache
         self._stop = stop
-        self._scheduler = scheduler
 
     # -- public API -----------------------------------------------------------
 
@@ -100,12 +97,8 @@ class MultiCastForecaster:
         """Run one forecast described by a :class:`ForecastSpec`.
 
         The spec is self-contained: its pipeline fields replace the
-        constructor's ``config`` entirely, and its ``execution`` field
-        selects how the sample ensemble is decoded (``"batched"`` — the
-        request's own lockstep decoder, the default — or ``"continuous"``,
-        the shared cross-request scheduler; bit-identical under the same
-        seed).  The constructor keeps only execution machinery: tracer,
-        ingest-state cache, stop callable, scheduler.
+        constructor's ``config`` entirely.  The constructor keeps only
+        execution machinery: tracer, ingest-state cache, stop callable.
 
         ``tracer`` (defaulting to the constructor's, defaulting to the
         no-op :data:`~repro.observability.NULL_TRACER`) receives one
@@ -128,11 +121,8 @@ class MultiCastForecaster:
             tracer=self._tracer,
             state_cache=self._state_cache,
             stop=self._stop,
-            scheduler=self._scheduler,
         )
-        return worker._forecast_impl(
-            spec.series, spec.horizon, spec.seed, tracer, mode=spec.execution
-        )
+        return worker._forecast_impl(spec.series, spec.horizon, spec.seed, tracer)
 
     def _forecast_impl(
         self,
@@ -140,9 +130,8 @@ class MultiCastForecaster:
         horizon: int,
         seed: int | None,
         tracer,
-        mode: str,
     ) -> ForecastOutput:
-        """The pipeline body, with ``mode`` the spec's execution."""
+        """The pipeline body behind :meth:`forecast`."""
         if horizon is None:
             raise DataError("horizon must be provided")
         values = np.asarray(history, dtype=float)
@@ -179,7 +168,7 @@ class MultiCastForecaster:
                     adjusters, values = self._seasonal_adjust(values)
 
             strategy = resolve_strategy(self.config.strategy, self.config)
-            context = _StrategyContext(self, clock, tracer, mode)
+            context = _StrategyContext(self, clock, tracer)
             output = strategy.forecast(values, horizon, seed, context)
 
             if adjusters is not None:
@@ -262,64 +251,29 @@ class MultiCastForecaster:
         constraint: Constraint,
         seed: int | None,
         tracer,
-        mode: str,
     ) -> tuple[list[list[str]], int, float, dict]:
         """Draw the configured number of continuations.
 
-        ``mode`` routes the ensemble through one of two decoders, both
-        bit-identical under the same seed:
-
-        * ``"batched"`` — one :class:`~repro.llm.batch.BatchedDecoder`
-          advances every stream in lockstep from one prefilled session
-          (one ``llm:ingest`` and one ``llm:decode_batch`` span).
-        * ``"continuous"`` — the streams join the shared cross-request
-          :class:`~repro.scheduling.ContinuousScheduler` (the
-          constructor's injected one, else a transient single-request
-          instance), which also owns prompt ingest through its radix
-          prefill tree when one is attached.
-
-        Each stream samples with its own child seed, drawn up front, so
-        the ensemble equals S independent draws of the prompt.  The
+        One :class:`~repro.llm.batch.BatchedDecoder` advances every stream
+        in lockstep from one prefilled session (one ``llm:ingest`` and one
+        ``llm:decode_batch`` span).  Each stream samples with its own child
+        seed, drawn up front, so the ensemble equals S independent draws of
+        the prompt.  The
         constructor's ``stop`` callable is polled between decode steps;
         when it fires the live streams are abandoned and, with no stream
         left, the forecast raises :class:`GenerationError`.
 
         Returns (decoded token streams, total generated tokens, simulated
-        seconds, execution/ingest info dict).  Simulated seconds charge
-        the prompt ingest once plus decode per completed sample — a
-        deterministic cost model independent of cache state *and*
-        execution mode, so every run of one request reports identical
-        costs.
+        seconds, decode/ingest info dict).  Simulated seconds charge the
+        prompt ingest once plus decode per completed sample — a
+        deterministic cost model independent of cache state, so every run
+        of one request reports identical costs.
         """
         config = self.config
         model = get_model(config.model, vocab_size=len(vocabulary))
         rng = np.random.default_rng(config.seed if seed is None else seed)
         seeds = child_seeds(rng, config.num_samples)
 
-        run = self._run_continuous if mode == "continuous" else self._run_batched
-        results, info = run(
-            model, prompt_ids, tokens_needed, constraint, seeds, tracer
-        )
-        completed = [r for r in results if r is not None]
-        if not completed:
-            raise GenerationError("every sample stream was abandoned")
-        streams = [vocabulary.decode(result.tokens) for result in completed]
-        generated = sum(len(result.tokens) for result in completed)
-        simulated = model.cost.seconds(len(prompt_ids), 0) + sum(
-            model.cost.seconds(0, len(result.tokens)) for result in completed
-        )
-        return streams, generated, simulated, info
-
-    def _run_batched(
-        self,
-        model,
-        prompt_ids: list[int],
-        tokens_needed: int,
-        constraint: Constraint,
-        seeds: list[int],
-        tracer,
-    ) -> tuple[list[GenerationResult | None], dict]:
-        """Decode the whole ensemble through one lockstep batched pass."""
         session = model.prefill(
             prompt_ids, tracer=tracer, state_cache=self._state_cache
         )
@@ -328,77 +282,26 @@ class MultiCastForecaster:
             tokens_needed,
             [np.random.default_rng(s) for s in seeds],
             constraint=constraint,
-            temperature=self.config.temperature,
+            temperature=config.temperature,
             tracer=tracer,
             session=session,
             stop=self._stop,
         )
+        completed = [r for r in decoder.results if r is not None]
+        if not completed:
+            raise GenerationError("every sample stream was abandoned")
+        streams = [vocabulary.decode(result.tokens) for result in completed]
+        generated = sum(len(result.tokens) for result in completed)
+        simulated = model.cost.seconds(len(prompt_ids), 0) + sum(
+            model.cost.seconds(0, len(result.tokens)) for result in completed
+        )
         info = {
             "ingest": session.outcome,
             "ingested_tokens": session.ingested_tokens,
-            "execution": "batched",
             "batch_occupancy": list(decoder.occupancy),
             "batch_groups": list(decoder.group_counts),
         }
-        if decoder.stopped:
-            info["stopped"] = True
-        return decoder.results, info
-
-    def _run_continuous(
-        self,
-        model,
-        prompt_ids: list[int],
-        tokens_needed: int,
-        constraint: Constraint,
-        seeds: list[int],
-        tracer,
-    ) -> tuple[list[GenerationResult | None], dict]:
-        """Decode the ensemble through the shared cross-request scheduler.
-
-        With an injected scheduler (the serving engine's), this request's
-        streams join whatever other requests are resident; without one, a
-        transient single-request scheduler runs the same code path.  Either
-        way the results are bit-identical to ``"batched"`` under the same
-        seeds (see :mod:`repro.scheduling`).
-        """
-        scheduler = self._scheduler
-        transient = None
-        if scheduler is None:
-            from repro.scheduling import ContinuousScheduler
-
-            transient = scheduler = ContinuousScheduler(
-                max_resident_streams=max(1, len(seeds))
-            )
-        if scheduler.prefill_tree is None:
-            # No radix tree attached: let the scheduler's fallback prefill
-            # still reuse this forecaster's flat ingest-state cache.
-            model.state_cache = self._state_cache
-        try:
-            handle = scheduler.submit(
-                model,
-                prompt_ids,
-                tokens_needed,
-                [np.random.default_rng(s) for s in seeds],
-                constraint=constraint,
-                temperature=self.config.temperature,
-                tracer=tracer,
-                stop=self._stop,
-            )
-            results = handle.result()
-        finally:
-            if transient is not None:
-                transient.close()
-        info = {
-            "execution": "continuous",
-            "batch_occupancy": list(handle.occupancy),
-            "batch_groups": list(handle.group_counts),
-            "ingest": handle.ingest,
-            "ingested_tokens": handle.ingested_tokens,
-            "queue_wait_seconds": handle.queue_wait_seconds,
-        }
-        if handle.stopped:
-            info["stopped"] = True
-        return results, info
+        return streams, generated, simulated, info
 
     def _truncate_rows(self, matrix: np.ndarray, width: int) -> np.ndarray:
         """Keep only the most recent rows whose stream fits the prompt budget."""
@@ -425,8 +328,8 @@ class _StrategyContext:
     Duck-typed rather than subclassed — the strategies package imports core
     submodules, so inheriting here would make the interface ABC part of an
     import cycle.  One context serves one request: it binds the request's
-    stage clock, tracer and resolved execution mode over the forecaster's
-    shared generation machinery.
+    stage clock and tracer over the forecaster's shared generation
+    machinery.
     """
 
     def __init__(
@@ -434,14 +337,12 @@ class _StrategyContext:
         forecaster: MultiCastForecaster,
         clock: StageClock,
         tracer,
-        mode: str,
     ) -> None:
         self.config = forecaster.config
         self.clock = clock
         self.multiplexer = forecaster._multiplexer
         self._forecaster = forecaster
         self._tracer = tracer
-        self._mode = mode
 
     def run_samples(
         self, vocabulary, prompt_ids, tokens_needed, constraint, seed
@@ -449,7 +350,7 @@ class _StrategyContext:
         """Draw the sample ensemble (see `MultiCastForecaster._run_samples`)."""
         return self._forecaster._run_samples(
             vocabulary, prompt_ids, tokens_needed, constraint, seed,
-            self._tracer, self._mode,
+            self._tracer,
         )
 
     def constraint(self, vocabulary, value_tokens, num_dims, width):
@@ -469,10 +370,9 @@ class _StrategyContext:
     def subforecast(self, values, horizon, seed, label=""):
         """Run a nested forecast through the full request machinery.
 
-        The sub-request shares the parent's execution mode, ingest-state
-        cache, stop callable and scheduler —
-        so it hits the ingest cache and the batched decoder exactly like a
-        top-level request — but always runs the ``"default"`` strategy
+        The sub-request shares the parent's ingest-state cache and stop
+        callable — so it hits the ingest cache and the batched decoder
+        exactly like a top-level request — but always runs the ``"default"`` strategy
         (composites never recurse) and never re-applies seasonal
         adjustment (the composite strategy owns seasonality).
         """
@@ -482,9 +382,6 @@ class _StrategyContext:
             tracer=self._tracer,
             state_cache=parent._state_cache,
             stop=parent._stop,
-            scheduler=parent._scheduler,
         )
         with self._tracer.span("subforecast", label=label):
-            return worker._forecast_impl(
-                values, horizon, seed, self._tracer, mode=self._mode
-            )
+            return worker._forecast_impl(values, horizon, seed, self._tracer)

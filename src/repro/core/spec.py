@@ -6,12 +6,10 @@ kwargs: a bare-array ``MultiCastForecaster.forecast(history, horizon)``,
 ``rolling_origin_evaluation(..., **pipeline_options)`` each spelled the
 same pipeline settings a little differently.  :class:`ForecastSpec`
 consolidates them: one frozen dataclass carrying the series, the horizon,
-every pipeline knob of :class:`~repro.core.config.MultiCastConfig`, the
-sampling seed, and the execution mode (``"batched"`` — the default
-per-request lockstep decoder of :mod:`repro.llm.batch` — or
-``"continuous"``, the cross-request shared scheduler of
-:mod:`repro.scheduling`; both produce bit-identical outputs under the
-same seed, so the choice is purely about wall-clock).
+every pipeline knob of :class:`~repro.core.config.MultiCastConfig` and
+the sampling seed.  How the sample ensemble is decoded is not a spec
+field: every request runs the one per-request lockstep decoder of
+:mod:`repro.llm.batch`.
 
 Migration (see ``docs/API.md``)::
 
@@ -39,13 +37,9 @@ from repro.exceptions import ConfigError
 
 __all__ = [
     "ForecastSpec",
-    "EXECUTION_MODES",
     "PROMPT_STRATEGIES",
     "canonicalize_sampling_options",
 ]
-
-#: The execution modes a spec (or serving request) may select.
-EXECUTION_MODES = ("batched", "continuous")
 
 #: Legacy spellings of canonical sampling fields, accepted-and-warned for
 #: one release (the kwarg-drift cleanup: ``num_samples`` is canonical).
@@ -109,11 +103,6 @@ class ForecastSpec:
         preserves the pre-strategy pipeline bit for bit).
     seed:
         Base RNG seed for the sample ensemble.
-    execution:
-        ``"batched"`` (default, the request's own lockstep decoder) or
-        ``"continuous"`` (the cross-request shared scheduler of
-        :mod:`repro.scheduling`) — how the sample ensemble is decoded.
-        Outputs are bit-identical across modes under the same seed.
     """
 
     series: np.ndarray | Sequence | None = None
@@ -131,7 +120,6 @@ class ForecastSpec:
     strategy: str = "default"
     patch_length: int = 6
     seed: int = 0
-    execution: str = "batched"
 
     def __post_init__(self) -> None:
         if self.series is not None:
@@ -142,11 +130,6 @@ class ForecastSpec:
             object.__setattr__(self, "horizon", int(self.horizon))
         if isinstance(self.sax, dict):
             object.__setattr__(self, "sax", SaxConfig(**self.sax))
-        if self.execution not in EXECUTION_MODES:
-            raise ConfigError(
-                f"execution must be one of {EXECUTION_MODES}, "
-                f"got {self.execution!r}"
-            )
         # Building the config validates every pipeline field eagerly.
         object.__setattr__(self, "_config", self._build_config())
 
@@ -232,7 +215,6 @@ class ForecastSpec:
         series=None,
         horizon: int | None = None,
         seed: int | None = None,
-        execution: str = "batched",
     ) -> "ForecastSpec":
         """Flatten an existing :class:`MultiCastConfig` into a spec.
 
@@ -255,7 +237,6 @@ class ForecastSpec:
             strategy=config.strategy,
             patch_length=config.patch_length,
             seed=config.seed if seed is None else int(seed),
-            execution=execution,
         )
 
     def __repr__(self) -> str:
@@ -264,6 +245,5 @@ class ForecastSpec:
             f"ForecastSpec(series_shape={shape}, horizon={self.horizon}, "
             f"scheme={self.scheme!r}, model={self.model!r}, "
             f"num_samples={self.num_samples}, sax={self.sax is not None}, "
-            f"strategy={self.strategy!r}, seed={self.seed}, "
-            f"execution={self.execution!r})"
+            f"strategy={self.strategy!r}, seed={self.seed})"
         )

@@ -81,12 +81,9 @@ def _multicast_forecast(scheme):
         )
         sax_options = options.pop("sax", None)
         state_cache = options.pop("state_cache", None)
-        execution = options.pop("execution", "batched")
         sax = SaxConfig(**sax_options) if isinstance(sax_options, dict) else sax_options
         config = MultiCastConfig(scheme=scheme, sax=sax, seed=seed, **options)
-        spec = ForecastSpec.from_config(
-            config, series=history, horizon=horizon, execution=execution
-        )
+        spec = ForecastSpec.from_config(config, series=history, horizon=horizon)
         return MultiCastForecaster(state_cache=state_cache).forecast(spec)
 
     return run

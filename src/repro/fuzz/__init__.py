@@ -10,7 +10,7 @@ with adversarial inputs: constant series, near-zero spans, huge and
 negative magnitudes, subnormals, single-timestamp histories, wide
 dimension counts, and truncated or separator-corrupted generated streams.
 
-Six property families:
+Seven property families:
 
 * ``round_trip`` — every scaler either raises a clean
   :class:`~repro.exceptions.ScalingError` (permitted only for extreme
@@ -25,17 +25,15 @@ Six property families:
   (:class:`~repro.llm.batch.BatchedDecoder`) equals per-stream sequential
   decoding bit for bit — tokens and log-probs — across random prompts,
   constraints, heterogeneous budgets, and every registered model.
-* ``sched_equivalence`` — the cross-request
-  :class:`~repro.scheduling.ContinuousScheduler` produces bit-identical
-  results to standalone per-request batched decoding across random
-  interleavings of 2–5 concurrent requests (some sharing prompts, so the
-  radix prefill tree's fork/extend paths are exercised), random admission
-  caps, and concurrent submission threads.
 * ``sharded_equivalence`` — a multi-process
   :class:`~repro.sharding.ShardedEngine` produces bit-identical forecasts
   (values, samples, and demultiplexed row counts) to the in-process
-  engine across shard counts 1, 2 and 4, random schemes, horizons, and
-  both batched and continuous execution.
+  engine across shard counts 1, 2 and 4, random schemes and horizons.
+* ``decomposition_roundtrip`` — classical decomposition of adversarial
+  series recombines to the input at ulp tolerance, or refuses with a
+  typed error (never for a tame series).
+* ``strategy_equivalence`` — every prompt strategy gives bit-identical
+  forecasts against a cold and a warm ingest-state cache.
 
 Failures shrink to a minimal counterexample and are written as JSON repro
 case files.  Run from the command line::

@@ -28,13 +28,12 @@ __all__ = [
     "generate_case",
 ]
 
-#: The eight property families the harness checks (see package docstring).
+#: The seven property families the harness checks (see package docstring).
 FAMILIES = (
     "round_trip",
     "mux_identity",
     "constraint_soundness",
     "decode_equivalence",
-    "sched_equivalence",
     "sharded_equivalence",
     "decomposition_roundtrip",
     "strategy_equivalence",

@@ -1,4 +1,4 @@
-"""The eight property families the fuzz harness checks.
+"""The seven property families the fuzz harness checks.
 
 Every check takes a :class:`~repro.fuzz.generators.FuzzCase` and returns
 ``None`` on success or a human-readable failure description.  A property
@@ -13,10 +13,7 @@ The ``decode_equivalence`` family pins the batched-decoding contract: for
 random prompts, constraints, per-stream budgets, and every registered
 simulated model, lockstep :class:`~repro.llm.batch.BatchedDecoder` output
 must equal per-stream sequential decoding **bit for bit** — same tokens,
-same log-probs, float equality, no tolerance.  ``sched_equivalence``
-extends the same contract across requests: the shared
-:class:`~repro.scheduling.ContinuousScheduler` must reproduce standalone
-per-request batched output exactly, whatever the interleaving.
+same log-probs, float equality, no tolerance.
 ``sharded_equivalence`` extends it across *processes*: a
 :class:`~repro.sharding.ShardedEngine` with 1, 2 or 4 decode workers must
 reproduce the in-process engine's forecast values, samples, and
@@ -29,8 +26,7 @@ seasonal profile), or it refuses with a typed error — and refusing a tame
 input is a failure; ``estimate_period`` must never crash on finite input.
 ``strategy_equivalence`` pins the prompt-strategy determinism contract:
 every registered strategy must produce bit-identical forecasts across
-``batched`` vs ``continuous`` execution and cold vs warm ingest-state
-caches.
+cold vs warm ingest-state caches.
 """
 
 from __future__ import annotations
@@ -62,23 +58,23 @@ _TAME_MAGNITUDE = 1e100
 #: cancels catastrophically once the offset dwarfs the spread.
 _SAX_CANCELLATION_RATIO = 1e12
 
-#: Decode temperatures the equivalence families draw: greedy, sharpened,
-#: neutral and flattened — each a different branch of the filter.
+#: Decode temperatures the ``decode_equivalence`` family draws: greedy,
+#: sharpened, neutral and flattened — each a different branch of the filter.
 _DECODE_TEMPERATURES = (0.0, 0.5, 1.0, 1.7)
 
 
 def _sampling_settings(
-    rng: np.random.Generator, vocab_size: int, top_k: bool = True
+    rng: np.random.Generator, vocab_size: int
 ) -> tuple[float, int | None, float | None]:
     """A random ``(temperature, top_k, top_p)`` for one decode case.
 
-    A third of cases also filter: top-k (when ``top_k`` allows it) or
-    top-p, on both sides of the comparison.
+    A third of cases also filter: top-k or top-p, on both sides of the
+    comparison.
     """
     temperature = float(rng.choice(_DECODE_TEMPERATURES))
     if rng.random() >= 1 / 3:
         return temperature, None, None
-    if top_k and rng.random() < 0.5:
+    if rng.random() < 0.5:
         return temperature, int(rng.integers(1, vocab_size + 1)), None
     return temperature, None, float(rng.uniform(0.3, 1.0))
 
@@ -111,8 +107,6 @@ def check_case(case: FuzzCase) -> str | None:
             return _check_constraint_soundness(case)
         if case.family == "decode_equivalence":
             return _check_decode_equivalence(case)
-        if case.family == "sched_equivalence":
-            return _check_sched_equivalence(case)
         if case.family == "sharded_equivalence":
             return _check_sharded_equivalence(case)
         if case.family == "decomposition_roundtrip":
@@ -495,143 +489,7 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
     return None
 
 
-# -- family 5: cross-request scheduler equivalence ----------------------------
-
-
-def _check_sched_equivalence(case: FuzzCase) -> str | None:
-    """Continuous scheduling must match per-request batched decoding bit
-    for bit.
-
-    Draws 2–5 concurrent requests over the case's vocabulary — some
-    sharing one prompt (exercising the radix tree's fork/extend paths),
-    with heterogeneous stream counts, token budgets, and model presets —
-    submits them to one :class:`~repro.scheduling.ContinuousScheduler`
-    from multiple threads under a random admission cap, and asserts every
-    request's tokens *and* log-probs equal a standalone
-    :meth:`~repro.llm.simulated.SimulatedLLM.generate_batch` run of the
-    same request (float equality, no tolerance).  Each request decodes at
-    a temperature drawn from {0, 0.5, 1, 1.7}, and a third of them with a
-    top-p (set on the preset, the only way a request reaches the
-    scheduler with one; it takes no top-k).
-    """
-    import dataclasses
-    import threading
-
-    from repro.llm.sampling import child_seeds
-    from repro.llm.simulated import SimulatedLLM, available_models, get_model
-    from repro.scheduling import ContinuousScheduler, RadixPrefillTree
-
-    codec = make_codec(case)
-    width = codec.num_digits
-    d = case.num_dims
-    if isinstance(codec, DigitCodec):
-        num_values = 10
-    else:
-        num_values = len(codec.alphabet.symbols)
-    sep_id = num_values
-    vocab_size = num_values + 1
-
-    rng = np.random.default_rng(case.seed)
-    constraint = None
-    if case.seed % 2:
-        mux = get_multiplexer(case.scheme)
-        pattern = mux.constraint_pattern(
-            d, width, frozenset(range(num_values)), sep_id
-        )
-        constraint = PeriodicPatternConstraint(pattern)
-
-    presets = available_models()
-    num_requests = int(rng.integers(2, 6))
-    prompt_pool = [
-        [int(t) for t in rng.integers(0, vocab_size, size=int(rng.integers(1, 48)))]
-        for _ in range(max(1, num_requests - 1))
-    ]
-    requests = []
-    for index in range(num_requests):
-        num_streams = int(rng.integers(1, 4))
-        temperature, _, top_p = _sampling_settings(rng, vocab_size, top_k=False)
-        preset = get_model(
-            presets[int(rng.integers(0, len(presets)))], vocab_size=vocab_size
-        )
-        requests.append(
-            {
-                "llm": SimulatedLLM(
-                    dataclasses.replace(preset.spec, top_p=top_p), vocab_size
-                ),
-                "temperature": temperature,
-                "prompt": prompt_pool[int(rng.integers(0, len(prompt_pool)))],
-                "budgets": [int(b) for b in rng.integers(0, 11, size=num_streams)],
-                "seeds": child_seeds(rng, num_streams),
-            }
-        )
-
-    expected = []
-    for req in requests:
-        decoder = req["llm"].generate_batch(
-            req["prompt"],
-            req["budgets"],
-            [np.random.default_rng(s) for s in req["seeds"]],
-            constraint=constraint,
-            temperature=req["temperature"],
-        )
-        expected.append(decoder.results)
-
-    scheduler = ContinuousScheduler(
-        max_resident_streams=int(rng.integers(1, 7)),
-        prefill_tree=RadixPrefillTree(),
-    )
-    handles: list = [None] * num_requests
-    errors: list = []
-
-    def submit(index: int) -> None:
-        req = requests[index]
-        try:
-            handles[index] = scheduler.submit(
-                req["llm"],
-                req["prompt"],
-                req["budgets"],
-                [np.random.default_rng(s) for s in req["seeds"]],
-                constraint=constraint,
-                temperature=req["temperature"],
-            )
-        except Exception as exc:  # surfaced as a finding below
-            errors.append(f"request {index}: submit raised {exc!r}")
-
-    threads = [
-        threading.Thread(target=submit, args=(index,))
-        for index in range(num_requests)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    try:
-        if errors:
-            return errors[0]
-        for index, handle in enumerate(handles):
-            got = handle.result(timeout=120)
-            for stream, (want, have) in enumerate(zip(expected[index], got)):
-                if have is None:
-                    return (
-                        f"request {index} stream {stream}: scheduler "
-                        "returned no result"
-                    )
-                if have.tokens != want.tokens:
-                    return (
-                        f"request {index} stream {stream}: scheduled tokens "
-                        f"{have.tokens[:8]}... != batched {want.tokens[:8]}..."
-                    )
-                if have.log_probs != want.log_probs:
-                    return (
-                        f"request {index} stream {stream}: scheduled "
-                        "log-probs differ from batched"
-                    )
-    finally:
-        scheduler.close()
-    return None
-
-
-# -- family 6: multi-process sharded engine equivalence -----------------------
+# -- family 5: multi-process sharded engine equivalence -----------------------
 
 #: Shard counts every ``sharded_equivalence`` case is checked against.
 _SHARD_COUNTS = (1, 2, 4)
@@ -680,9 +538,7 @@ def _check_sharded_equivalence(case: FuzzCase) -> str | None:
     :class:`~repro.sharding.ShardedEngine` instances with 1, 2 and 4
     decode worker processes, and asserts the forecast values, the sample
     ensemble, and the demultiplexed row counts are identical across all
-    four — float equality, no tolerance.  Execution alternates between
-    ``"batched"`` and ``"continuous"`` by seed parity so both in-worker
-    decode paths are covered.
+    four — float equality, no tolerance.
     """
     from repro.core.config import MultiCastConfig
     from repro.serving.request import ForecastRequest
@@ -702,7 +558,6 @@ def _check_sharded_equivalence(case: FuzzCase) -> str | None:
         ),
         use_cache=False,
         name=f"fuzz-sharded-{case.seed}",
-        execution="batched" if case.seed % 2 == 0 else "continuous",
     )
 
     baseline = _shard_engine(0).forecast(request)
@@ -725,7 +580,7 @@ def _check_sharded_equivalence(case: FuzzCase) -> str | None:
     return None
 
 
-# -- family 7: classical decomposition round trip ------------------------------
+# -- family 6: classical decomposition round trip ------------------------------
 
 
 def _check_decomposition_roundtrip(case: FuzzCase) -> str | None:
@@ -793,21 +648,20 @@ def _check_decomposition_roundtrip(case: FuzzCase) -> str | None:
     return None
 
 
-# -- family 8: prompt-strategy determinism -------------------------------------
+# -- family 7: prompt-strategy determinism -------------------------------------
 
 
 def _check_strategy_equivalence(case: FuzzCase) -> str | None:
-    """Every prompt strategy must be deterministic across execution modes
-    and ingest-cache temperature.
+    """Every prompt strategy must be deterministic across ingest-cache
+    temperature.
 
     Derives a tame request from the case's seed (adversarial magnitudes
     belong to ``round_trip``/``decomposition_roundtrip``; this family pins
     the *orchestration* contract, so the pipeline itself must succeed),
     selects a strategy from :data:`~repro.core.config.PROMPT_STRATEGIES`
-    by seed, and runs the identical spec through ``batched`` and
-    ``continuous`` execution, each against a cold and then a warm
-    :class:`~repro.llm.state_cache.IngestStateCache`.  All four forecasts
-    — point values and the full sample ensemble — must be bit-identical,
+    by seed, and runs the identical spec against a cold and then a warm
+    :class:`~repro.llm.state_cache.IngestStateCache`.  Both forecasts —
+    point values and the full sample ensemble — must be bit-identical,
     and each must report the selected strategy in its metadata.
     """
     from repro.core.config import PROMPT_STRATEGIES, MultiCastConfig
@@ -837,36 +691,32 @@ def _check_strategy_equivalence(case: FuzzCase) -> str | None:
         sax=sax,
     )
 
+    cache = IngestStateCache()
     outputs = {}
-    for mode in ("batched", "continuous"):
-        cache = IngestStateCache()
-        for temperature in ("cold", "warm"):
-            forecaster = MultiCastForecaster(state_cache=cache)
-            output = forecaster.forecast(
-                ForecastSpec(series=history, execution=mode, **spec_fields)
-            )
-            reported = str(output.metadata.get("strategy", ""))
-            if strategy not in ("default", "auto") and reported != strategy:
-                return (
-                    f"{mode}/{temperature}: metadata reports strategy "
-                    f"{reported!r}, spec asked for {strategy!r}"
-                )
-            if strategy == "auto" and not reported.startswith("auto"):
-                return (
-                    f"{mode}/{temperature}: auto selection not recorded "
-                    f"(metadata strategy {reported!r})"
-                )
-            outputs[(mode, temperature)] = output
-
-    baseline = outputs[("batched", "cold")]
-    for key, output in outputs.items():
-        if output.samples.shape != baseline.samples.shape:
+    for temperature in ("cold", "warm"):
+        forecaster = MultiCastForecaster(state_cache=cache)
+        output = forecaster.forecast(ForecastSpec(series=history, **spec_fields))
+        reported = str(output.metadata.get("strategy", ""))
+        if strategy not in ("default", "auto") and reported != strategy:
             return (
-                f"{key[0]}/{key[1]}: sample shape {output.samples.shape} "
-                f"!= batched/cold {baseline.samples.shape}"
+                f"{temperature}: metadata reports strategy "
+                f"{reported!r}, spec asked for {strategy!r}"
             )
-        if not np.array_equal(output.values, baseline.values):
-            return f"{key[0]}/{key[1]}: forecast values differ from batched/cold"
-        if not np.array_equal(output.samples, baseline.samples):
-            return f"{key[0]}/{key[1]}: sample ensemble differs from batched/cold"
+        if strategy == "auto" and not reported.startswith("auto"):
+            return (
+                f"{temperature}: auto selection not recorded "
+                f"(metadata strategy {reported!r})"
+            )
+        outputs[temperature] = output
+
+    cold, warm = outputs["cold"], outputs["warm"]
+    if warm.samples.shape != cold.samples.shape:
+        return (
+            f"warm: sample shape {warm.samples.shape} "
+            f"!= cold {cold.samples.shape}"
+        )
+    if not np.array_equal(warm.values, cold.values):
+        return "warm: forecast values differ from cold"
+    if not np.array_equal(warm.samples, cold.samples):
+        return "warm: sample ensemble differs from cold"
     return None

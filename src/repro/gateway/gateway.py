@@ -28,8 +28,7 @@ exact :class:`~repro.serving.request.ForecastRequest` the engine would
 serve directly, so gateway results are bit-identical to
 ``engine.forecast`` (and to a direct
 :class:`~repro.core.forecaster.MultiCastForecaster` call) under the same seed
-— pinned by ``tests/test_gateway.py`` across batched and continuous
-execution.
+— pinned by ``tests/test_gateway.py``.
 
 Admission outcomes land in three places: the engine's
 :class:`~repro.serving.metrics.MetricsRegistry` (``gateway_*`` counters,
@@ -255,7 +254,6 @@ class ForecastGateway:
             output=copy.deepcopy(response.output),
             error=response.error,
             cache_hit=response.cache_hit,
-            partial=response.partial,
             attempts=response.attempts,
             wall_seconds=response.wall_seconds,
         )
@@ -365,13 +363,10 @@ class ForecastGateway:
         miss/extend/fork outcome), and copying the leader's value here
         would double-count ingest work in ledger audits.
         """
-        outcome = "failed" if not response.ok else (
-            "partial" if response.partial else "ok"
-        )
         self._ledger_append(
             follower.request,
             "coalesced",
-            outcome,
+            "ok" if response.ok else "failed",
             error=response.error,
             cache_hit=response.cache_hit,
             wall_seconds=time.perf_counter() - follower.submitted_at,
@@ -411,22 +406,15 @@ class ForecastGateway:
                 "sax": request.config.sax is not None,
                 "model": request.config.model,
                 "horizon": int(request.horizon),
-                "execution": request.execution,
                 "cache_hit": cache_hit,
-                "partial": False,
                 "attempts": 0,
                 "error": error,
                 "wall_seconds": round(wall_seconds, 9),
                 "prompt_tokens": 0,
                 "generated_tokens": 0,
                 "ingest": ingest,
-                "queue_wait_seconds": None,
                 "timings": {},
                 "spans": None,
-                "metrics": {
-                    name: instrument["value"]
-                    for name, instrument in self.metrics.snapshot().items()
-                    if instrument.get("type") == "counter"
-                },
+                "metrics": self.metrics.counter_values(),
             }
         )

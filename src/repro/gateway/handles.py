@@ -18,7 +18,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serving.request import ForecastRequest, ForecastResponse
 

@@ -15,7 +15,7 @@ Two substrate properties make this cheap *and* exact:
 
 * **Determinism** — a model's state is a pure function of (prefilled
   prompt + generated tokens), so streams whose generated prefixes are
-  equal share bit-identical model state.  The scheduler therefore keeps
+  equal share bit-identical model state.  The decoder therefore keeps
   one model per *group* of streams with the same prefix, scoring each
   distinct state once per step and forking (copy-on-write, from PR 3)
   only when sampled tokens split a group.  Early in a decode — and for
@@ -34,9 +34,9 @@ Two substrate properties make this cheap *and* exact:
   ``tests/test_batched_decoding.py`` and the ``decode_equivalence`` fuzz
   family).
 
-:class:`~repro.scheduling.ContinuousScheduler` keeps one decoder per
-resident request and runs the same step, :func:`decode_step`, over all of
-them at once.
+This is the only decode path: every forecast, served or direct, runs one
+:class:`BatchedDecoder` over a session prefilled through
+:class:`~repro.llm.state_cache.IngestStateCache`.
 """
 
 from __future__ import annotations
@@ -87,87 +87,6 @@ def stream_budgets(
     return budgets
 
 
-def decode_step(decoders: Sequence["BatchedDecoder"]) -> None:
-    """Advance every live group of every decoder by one token.
-
-    Groups at a forced slot (the mask admits one id) take that id without
-    being scored: it has probability exactly 1 after filtering, so each
-    stream still spends one ``rng.random()`` (none when greedy) and
-    records log-prob ``0.0``.  The other groups are scored with one
-    ``next_distribution_batch`` call and sampled with one
-    :func:`~repro.llm.sampling.sample_step` call per (model type,
-    vocabulary, sampling settings).  Each group is then partitioned by
-    token: the first-drawn partition keeps the group (its model advanced
-    in place), later partitions fork the model first.
-    """
-    # Per group, in decoder then group order: its partitions by token.
-    partitions: list[list[tuple[int, float, list[int]]]] = []
-    batches: dict[tuple, tuple[list[int], list[_Group], list]] = {}
-    for decoder in decoders:
-        mask, forced = decoder._slot()
-        if forced is not None:
-            forced_draw(
-                [s.rng for group in decoder.groups for s in group.streams],
-                *decoder._sampling,
-            )
-            partitions += [
-                [(forced, 1.0, list(range(len(group.streams))))]
-                for group in decoder.groups
-            ]
-            continue
-        for group in decoder.groups:
-            model = group.model
-            key = (type(model), model.vocab_size, decoder._sampling, mask is None)
-            batch = batches.get(key)
-            if batch is None:
-                batch = batches[key] = ([], [], [])
-            indices, groups, masks = batch
-            indices.append(len(partitions))
-            groups.append(group)
-            masks.append(mask)
-            partitions.append([])
-    for (model_type, _, sampling, _), (indices, groups, masks) in batches.items():
-        mask = masks[0]
-        if mask is not None and any(item is not mask for item in masks):
-            mask = np.stack(masks)
-        step = sample_step(
-            model_type.next_distribution_batch([group.model for group in groups]),
-            [[stream.rng for stream in group.streams] for group in groups],
-            *sampling,
-            allowed_mask=mask,
-        )
-        for index, parts in zip(indices, step):
-            partitions[index] = parts
-    parts_of = iter(partitions)
-    for decoder in decoders:
-        next_groups: list[_Group] = []
-        for group in decoder.groups:
-            parts = next(parts_of)
-            token, prob, members = parts[0]
-            # Fork for the later partitions *before* the first one
-            # advances the shared model in place.
-            splits = [
-                _Group(
-                    model=group.model.fork(),
-                    streams=[group.streams[member] for member in others],
-                    tokens=group.tokens + [other],
-                    log_probs=group.log_probs + [float(np.log(max(p, 1e-300)))],
-                )
-                for other, p, others in parts[1:]
-            ]
-            if splits:
-                group.streams = [group.streams[member] for member in members]
-            group.model.advance(token)
-            group.tokens.append(token)
-            group.log_probs.append(float(np.log(max(prob, 1e-300))))
-            next_groups.append(group)
-            for split in splits:
-                split.model.advance(split.tokens[-1])
-                next_groups.append(split)
-        decoder.groups = next_groups
-        decoder.position += 1
-
-
 class BatchedDecoder:
     """Lockstep scheduler decoding S streams from one prefilled model.
 
@@ -196,10 +115,7 @@ class BatchedDecoder:
     ``results`` (per-stream :class:`GenerationResult`, ``None`` for
     streams abandoned by an early stop), ``occupancy`` (live streams per
     step), ``group_counts`` (distinct model states per step),
-    ``steps`` and ``stopped``.  A caller stepping several decoders
-    together (the continuous scheduler) calls :meth:`begin_step` on each
-    and then :func:`decode_step` on the live ones, instead of
-    :meth:`decode`; ``width`` is the number of streams still decoding.
+    ``steps`` and ``stopped``.
     """
 
     def __init__(
@@ -220,7 +136,7 @@ class BatchedDecoder:
         self._constraint = constraint
         self._sampling = (temperature, top_k, top_p)
         self._slots: dict[frozenset[int], tuple[np.ndarray, int | None]] = {}
-        self.batch_width = self.width = len(rngs)
+        self.batch_width = self._width = len(rngs)
         self._max_new_tokens = max(budgets)
         self._retire_at = min(budgets)
         self.results: list[GenerationResult | None] = [None] * len(rngs)
@@ -242,7 +158,7 @@ class BatchedDecoder:
             self._slots[allowed] = slot
         return slot
 
-    def begin_step(self, stop: Callable[[], bool] | None = None) -> bool:
+    def _begin_step(self, stop: Callable[[], bool] | None) -> bool:
         """Retire streams whose budget is met, poll ``stop`` and record the
         step's telemetry; False once no stream is left or ``stop`` fired."""
         if self.position >= self._retire_at:
@@ -261,16 +177,73 @@ class BatchedDecoder:
                     live.append(group)
             self.groups = live
             budgets = [stream.budget for group in live for stream in group.streams]
-            self.width = len(budgets)
+            self._width = len(budgets)
             self._retire_at = min(budgets, default=0)
         if not self.groups:
             return False
         if stop is not None and stop():
             self.stopped = True
             return False
-        self.occupancy.append(self.width)
+        self.occupancy.append(self._width)
         self.group_counts.append(len(self.groups))
         return True
+
+    def _step(self) -> None:
+        """Advance every live group by one token.
+
+        At a forced slot (the mask admits one id) every group takes that
+        id without being scored: it has probability exactly 1 after
+        filtering, so each stream still spends one ``rng.random()`` (none
+        when greedy) and records log-prob ``0.0``.  Otherwise all groups
+        are scored with one ``next_distribution_batch`` call and sampled
+        with one :func:`~repro.llm.sampling.sample_step` call.  Each group
+        is then partitioned by token: the first-drawn partition keeps the
+        group (its model advanced in place), later partitions fork the
+        model first.
+        """
+        mask, forced = self._slot()
+        groups = self.groups
+        if forced is not None:
+            forced_draw(
+                [s.rng for group in groups for s in group.streams], *self._sampling
+            )
+            partitions = [
+                [(forced, 1.0, list(range(len(group.streams))))] for group in groups
+            ]
+        else:
+            partitions = sample_step(
+                type(groups[0].model).next_distribution_batch(
+                    [group.model for group in groups]
+                ),
+                [[stream.rng for stream in group.streams] for group in groups],
+                *self._sampling,
+                allowed_mask=mask,
+            )
+        next_groups: list[_Group] = []
+        for group, parts in zip(groups, partitions):
+            token, prob, members = parts[0]
+            # Fork for the later partitions *before* the first one
+            # advances the shared model in place.
+            splits = [
+                _Group(
+                    model=group.model.fork(),
+                    streams=[group.streams[member] for member in others],
+                    tokens=group.tokens + [other],
+                    log_probs=group.log_probs + [float(np.log(max(p, 1e-300)))],
+                )
+                for other, p, others in parts[1:]
+            ]
+            if splits:
+                group.streams = [group.streams[member] for member in members]
+            group.model.advance(token)
+            group.tokens.append(token)
+            group.log_probs.append(float(np.log(max(prob, 1e-300))))
+            next_groups.append(group)
+            for split in splits:
+                split.model.advance(split.tokens[-1])
+                next_groups.append(split)
+        self.groups = next_groups
+        self.position += 1
 
     def decode(
         self,
@@ -280,8 +253,8 @@ class BatchedDecoder:
     ) -> list[GenerationResult | None]:
         """Run the lockstep loop to completion (or until ``stop`` fires).
 
-        Each step is :meth:`begin_step` (retire streams whose budget is
-        met, poll ``stop``) then :func:`decode_step`.  When ``stop``
+        Each step retires streams whose budget is met, polls ``stop``,
+        then advances every live group by one token.  When ``stop``
         returns True the decode aborts, already-retired streams keep their
         results and still-live streams report ``None`` (the engine uses
         this to honour request deadlines).
@@ -298,8 +271,8 @@ class BatchedDecoder:
             max_new_tokens=self._max_new_tokens,
             **(span_attributes or {}),
         ) as span:
-            while self.begin_step(stop):
-                decode_step([self])
+            while self._begin_step(stop):
+                self._step()
             self.steps = len(self.occupancy)
             if span.is_recording:
                 span.set_attribute("steps", self.steps)

@@ -26,8 +26,8 @@ prefix of what was ingested.  :meth:`IngestStateCache.ingest` therefore
 deposits **checkpoints** while it ingests — frozen snapshots at doubling
 token boundaries (16, 32, 64, ...) — so a later shorter query resolves to
 the longest cached prefix at or below its length instead of missing
-outright.  (:class:`repro.scheduling.RadixPrefillTree` generalises the
-same idea to a prefix tree shared across unrelated prompts.)
+outright.  This is the serving stack's one prefix cache: every engine,
+sharded worker and backtest prefills through it.
 
 Entries are LRU-evicted by total *token* count (not entry count), since a
 prefilled state's memory footprint scales with its prompt length.  An

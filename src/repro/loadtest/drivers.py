@@ -34,7 +34,7 @@ __all__ = ["RequestSample", "run_closed_loop", "run_open_loop"]
 class RequestSample:
     """What one arrival experienced, end to end.
 
-    ``outcome`` is ``"ok"``, ``"partial"``, ``"failed"`` (served with an
+    ``outcome`` is ``"ok"``, ``"failed"`` (served with an
     error), ``"shed"`` or ``"quota"`` (rejected at the door).
     ``latency_seconds`` is submit-to-resolution for served requests and
     submit-to-rejection (effectively 0) for rejected ones.
@@ -81,12 +81,7 @@ async def _serve_one(
         )
     response = await gateway.result(handle)
     latency = time.perf_counter() - started
-    if not response.ok:
-        outcome = "failed"
-    elif response.partial:
-        outcome = "partial"
-    else:
-        outcome = "ok"
+    outcome = "ok" if response.ok else "failed"
     deadline_hit = response.ok and (
         item.deadline_seconds is None or latency <= item.deadline_seconds
     )

@@ -62,7 +62,6 @@ class LoadTestConfig:
     horizon: int = 3
     num_samples: int = 2
     model: str = "uniform-sim"
-    execution: str = "batched"
     deadline_seconds: float | None = None
     max_pending: int = 64
     quota_rate: float | None = None
@@ -91,7 +90,6 @@ def _build_workload(config: LoadTestConfig) -> list[WorkloadItem]:
             history_length=config.history_length,
             num_samples=config.num_samples,
             model=config.model,
-            execution=config.execution,
             deadline_seconds=config.deadline_seconds,
         )
         if len(items) < config.requests:
@@ -102,7 +100,6 @@ def _build_workload(config: LoadTestConfig) -> list[WorkloadItem]:
                 history_length=config.history_length,
                 num_samples=config.num_samples,
                 model=config.model,
-                execution=config.execution,
                 deadline_seconds=config.deadline_seconds,
             )
         return items[: config.requests]
@@ -114,7 +111,6 @@ def _build_workload(config: LoadTestConfig) -> list[WorkloadItem]:
         horizon=config.horizon,
         num_samples=config.num_samples,
         model=config.model,
-        execution=config.execution,
         tenants=config.tenants,
         deadline_seconds=config.deadline_seconds,
     )

@@ -48,7 +48,6 @@ class LoadTestReport:
 
     total: int
     ok: int
-    partial: int
     failed: int
     shed: int
     quota_rejected: int
@@ -107,7 +106,6 @@ class LoadTestReport:
         return {
             "total": self.total,
             "ok": self.ok,
-            "partial": self.partial,
             "failed": self.failed,
             "shed": self.shed,
             "quota_rejected": self.quota_rejected,
@@ -131,7 +129,7 @@ class LoadTestReport:
     def summary(self) -> str:
         """A compact multi-line console summary."""
         return (
-            f"requests={self.total} ok={self.ok} partial={self.partial} "
+            f"requests={self.total} ok={self.ok} "
             f"failed={self.failed} shed={self.shed} "
             f"quota={self.quota_rejected}\n"
             f"deadline hit-rate={self.deadline_hit_rate:.4f} "
@@ -153,10 +151,10 @@ def build_report(
     total = len(samples)
     if total == 0:
         raise ValueError("cannot build a report from zero samples")
-    by_outcome = {"ok": 0, "partial": 0, "failed": 0, "shed": 0, "quota": 0}
+    by_outcome = {"ok": 0, "failed": 0, "shed": 0, "quota": 0}
     for sample in samples:
         by_outcome[sample.outcome] = by_outcome.get(sample.outcome, 0) + 1
-    served = [s for s in samples if s.outcome in ("ok", "partial", "failed")]
+    served = [s for s in samples if s.outcome in ("ok", "failed")]
     latencies = np.array([s.latency_seconds for s in served], dtype=float)
     if latencies.size:
         p50, p95, p99 = np.percentile(latencies, [50, 95, 99])
@@ -170,7 +168,7 @@ def build_report(
             sample.tenant, {"total": 0, "ok": 0, "shed": 0, "quota": 0}
         )
         bucket["total"] += 1
-        if sample.outcome in ("ok", "partial"):
+        if sample.outcome == "ok":
             bucket["ok"] += 1
         elif sample.outcome == "shed":
             bucket["shed"] += 1
@@ -180,7 +178,6 @@ def build_report(
     return LoadTestReport(
         total=total,
         ok=by_outcome["ok"],
-        partial=by_outcome["partial"],
         failed=by_outcome["failed"],
         shed=by_outcome["shed"],
         quota_rejected=by_outcome["quota"],

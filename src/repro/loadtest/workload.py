@@ -71,7 +71,6 @@ def synthesize_workload(
     num_samples: int = 2,
     model: str = "uniform-sim",
     scheme: str = "vi",
-    execution: str = "batched",
     tenants: tuple[str, ...] = ("alpha", "beta", "gamma"),
     deadline_seconds: float | None = None,
 ) -> list[WorkloadItem]:
@@ -101,7 +100,6 @@ def synthesize_workload(
                 config,
                 series=_history(rng, history_length),
                 horizon=horizon,
-                execution=execution,
             )
         )
     picks = rng.integers(0, distinct, size=num_requests)
@@ -124,7 +122,6 @@ def replay_workload(
     history_length: int = 64,
     num_samples: int = 2,
     model: str | None = None,
-    execution: str = "batched",
     deadline_seconds: float | None = None,
 ) -> list[WorkloadItem]:
     """Rebuild a workload from a run-ledger JSONL file.
@@ -179,7 +176,6 @@ def replay_workload(
                 config,
                 series=_history(rng, history_length),
                 horizon=int(record.get("horizon", 3)),
-                execution=execution,
             )
             items.append(
                 WorkloadItem(

@@ -3,7 +3,7 @@
 Metrics answer "how is the service doing *right now*"; the ledger answers
 "what happened to request 417 last Tuesday".  The serving engine appends
 one self-contained JSON object per forecast — config hash, seed, outcome
-(``ok`` / ``partial`` / ``failed``), wall seconds, token counts, per-stage
+(``ok`` / ``failed``), wall seconds, token counts, per-stage
 timings, the request's span tree when tracing is on, and a compact metric
 snapshot — so a directory of ledger files *is* the service's queryable
 history.  ``repro-multicast ledger summarize`` aggregates any ledger back
@@ -14,7 +14,7 @@ full field reference)::
 
     {"name": "gas-di", "outcome": "ok", "config_hash": "ab12…", "seed": 0,
      "scheme": "di", "sax": false, "model": "llama2-7b-sim", "horizon": 8,
-     "cache_hit": false, "partial": false, "attempts": 1, "error": null,
+     "cache_hit": false, "attempts": 1, "error": null,
      "wall_seconds": 0.41, "prompt_tokens": 3120, "generated_tokens": 320,
      "timings": {"scale": …}, "spans": {…} | null, "metrics": {…}}
 """
@@ -32,8 +32,8 @@ from repro.exceptions import ConfigError, DataError
 
 __all__ = ["RunLedger", "LedgerSummary", "read_ledger", "summarize_ledger"]
 
-#: The three terminal states of a served forecast.
-OUTCOMES = ("ok", "partial", "failed")
+#: The terminal states of a served forecast.
+OUTCOMES = ("ok", "failed")
 
 #: Latency quantiles reported by :func:`summarize_ledger` — the same set
 #: the serving :class:`~repro.serving.metrics.Histogram` snapshots, so the

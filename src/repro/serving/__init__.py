@@ -5,7 +5,7 @@ more things, each a module here:
 
 * :mod:`~repro.serving.engine` — :class:`ForecastEngine`, a thread-pooled
   service that decodes each request's ``num_samples`` independent draws
-  in lockstep (per request, or in the shared cross-request scheduler) and
+  in lockstep through one per-request batched decoder and
   aggregates them through the paper's median path, bit-identically to a
   direct forecast under the same seed;
 * :mod:`~repro.serving.cache` — :class:`ForecastCache`, a content-addressed

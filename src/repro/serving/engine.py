@@ -4,14 +4,10 @@ The engine turns :class:`MultiCastForecaster` — a single-threaded library
 object — into a service: requests are accepted concurrently on a small
 request pool, and each request's ``num_samples`` independent constrained
 continuations (the paper medians i.i.d. draws, LLMTime-style) decode in
-lockstep, either through the request's own
-:class:`~repro.llm.batch.BatchedDecoder` pass (``execution="batched"``,
-the default) or by joining the engine's *shared* cross-request decode
-loop (``execution="continuous"``, a
-:class:`~repro.scheduling.ContinuousScheduler` backed by a
-:class:`~repro.scheduling.RadixPrefillTree` so requests with overlapping
-histories dedupe their prompt ingest — see
-``benchmarks/bench_scheduler.py``).  The serving policies (result cache,
+lockstep through the request's own :class:`~repro.llm.batch.BatchedDecoder`
+pass, prefilled from the engine's shared
+:class:`~repro.llm.state_cache.IngestStateCache` so repeated and extended
+histories reuse prompt ingest.  The serving policies (result cache,
 deadline, retry) wrap the pipeline without touching its numerics: the
 deadline is polled between decode steps, and a transient
 :class:`~repro.exceptions.GenerationError` re-runs the whole forecast
@@ -29,14 +25,13 @@ Observability is opt-in and zero-cost when off: pass a
 forecast (the pipeline's ``forecast``/``stage:*``/``llm:*`` spans nest
 beneath it, one ``forecast`` span per attempt), and a
 :class:`~repro.observability.RunLedger` to append one JSONL record per
-forecast — config hash, seed, outcome ``ok|partial|failed``, latency,
+forecast — config hash, seed, outcome ``ok|failed``, latency,
 token counts, span tree — for post-hoc analysis with
 ``repro-multicast ledger summarize``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -47,7 +42,6 @@ from repro.exceptions import ConfigError, ReproError
 from repro.llm.state_cache import IngestStateCache
 from repro.observability.ledger import RunLedger
 from repro.observability.spans import NULL_TRACER, Span
-from repro.scheduling import ContinuousScheduler, RadixPrefillTree
 from repro.serving.cache import ForecastCache, forecast_digest
 from repro.serving.metrics import MetricsRegistry
 from repro.serving.policy import Deadline, RetryPolicy
@@ -57,10 +51,8 @@ __all__ = ["ForecastEngine"]
 
 
 def _outcome(response: ForecastResponse) -> str:
-    """Terminal state of a served request: ``ok``, ``partial``, or ``failed``."""
-    if not response.ok:
-        return "failed"
-    return "partial" if response.partial else "ok"
+    """Terminal state of a served request: ``ok`` or ``failed``."""
+    return "ok" if response.ok else "failed"
 
 
 class ForecastEngine:
@@ -90,16 +82,6 @@ class ForecastEngine:
     max_concurrent_requests:
         Request-orchestration pool size used by :meth:`submit` /
         :meth:`forecast_batch`.
-    max_resident_streams:
-        Admission cap of the shared continuous scheduler: total live
-        decode streams across all resident ``execution="continuous"``
-        requests.  Requests beyond the cap queue FIFO (the head is always
-        admitted when nothing is resident, so wide requests still run).
-    prefill_tree:
-        Shared :class:`~repro.scheduling.RadixPrefillTree` deduplicating
-        prompt ingest across continuous requests; defaults to an enabled
-        tree.  Pass ``RadixPrefillTree(max_tokens=0)`` to disable radix
-        caching (continuous requests then fall back to ``ingest_cache``).
     tracer:
         Optional :class:`~repro.observability.Tracer`; defaults to the
         no-op tracer (zero overhead, bit-identical results).  When set,
@@ -125,8 +107,6 @@ class ForecastEngine:
         retry: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         max_concurrent_requests: int = 2,
-        max_resident_streams: int = 64,
-        prefill_tree: RadixPrefillTree | None = None,
         tracer=None,
         ledger: RunLedger | str | None = None,
         sleep=time.sleep,
@@ -135,10 +115,6 @@ class ForecastEngine:
             raise ConfigError(
                 f"max_concurrent_requests must be >= 1, "
                 f"got {max_concurrent_requests}"
-            )
-        if max_resident_streams < 1:
-            raise ConfigError(
-                f"max_resident_streams must be >= 1, got {max_resident_streams}"
             )
         self.cache = ForecastCache() if cache is None else cache
         self.ingest_cache = (
@@ -155,12 +131,6 @@ class ForecastEngine:
         self._requests = ThreadPoolExecutor(
             max_workers=max_concurrent_requests, thread_name_prefix="mc-request"
         )
-        self.prefill_tree = (
-            RadixPrefillTree() if prefill_tree is None else prefill_tree
-        )
-        self.max_resident_streams = max_resident_streams
-        self._scheduler: ContinuousScheduler | None = None
-        self._scheduler_lock = threading.Lock()
         self._closed = False
 
     # -- public API -----------------------------------------------------------
@@ -217,13 +187,10 @@ class ForecastEngine:
         return [future.result() for future in futures]
 
     def metrics_snapshot(self) -> dict:
-        """Current metrics, including live cache and scheduler statistics."""
+        """Current metrics, including live result- and ingest-cache statistics."""
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = {"type": "cache", **self.cache.stats}
         snapshot["ingest_cache"] = {"type": "cache", **self.ingest_cache.stats}
-        snapshot["prefill_tree"] = {"type": "cache", **self.prefill_tree.stats}
-        if self._scheduler is not None:
-            snapshot["scheduler"] = {"type": "scheduler", **self._scheduler.stats}
         return snapshot
 
     def close(self) -> None:
@@ -231,8 +198,6 @@ class ForecastEngine:
         if not self._closed:
             self._closed = True
             self._requests.shutdown(wait=True)
-            if self._scheduler is not None:
-                self._scheduler.close()
 
     def __enter__(self) -> ForecastEngine:
         return self
@@ -245,18 +210,6 @@ class ForecastEngine:
     def _check_open(self) -> None:
         if self._closed:
             raise ConfigError("engine is closed")
-
-    def _scheduler_instance(self) -> ContinuousScheduler:
-        """The shared continuous scheduler, created on first use."""
-        with self._scheduler_lock:
-            if self._scheduler is None:
-                self._scheduler = ContinuousScheduler(
-                    max_resident_streams=self.max_resident_streams,
-                    prefill_tree=self.prefill_tree,
-                    metrics=self.metrics,
-                    tracer=self.tracer,
-                )
-            return self._scheduler
 
     def _execute(
         self,
@@ -326,18 +279,12 @@ class ForecastEngine:
             tracer=self.tracer,
             state_cache=self.ingest_cache,
             stop=lambda: deadline.expired,
-            scheduler=(
-                self._scheduler_instance()
-                if request.execution == "continuous"
-                else None
-            ),
         )
         spec = ForecastSpec.from_config(
             request.config,
             series=request.history,
             horizon=request.horizon,
             seed=request.effective_seed,
-            execution=request.execution,
         )
         attempts = 0
 
@@ -388,13 +335,7 @@ class ForecastEngine:
             span.set_attribute("ingest", ingest)
         for occupancy in output.metadata.get("batch_occupancy", ()):
             self.metrics.histogram("decode_batch_occupancy").observe(occupancy)
-        requested = output.metadata.get("requested_samples", request.config.num_samples)
-        completed = output.metadata.get("completed_samples", requested)
-        partial = completed < requested
-        if partial:
-            self.metrics.counter("requests_partial").inc()
-        elif request.use_cache:
-            # Partial ensembles are never cached: a retry may do better.
+        if request.use_cache:
             self.cache.put(key, output)
 
         self.metrics.histogram("request_seconds").observe(wall)
@@ -406,7 +347,6 @@ class ForecastEngine:
         return ForecastResponse(
             request,
             output=output,
-            partial=partial,
             attempts=attempts,
             wall_seconds=wall,
         )
@@ -421,9 +361,11 @@ class ForecastEngine:
     ) -> dict:
         """One self-contained JSONL record for the run ledger.
 
-        The ``metrics`` field is a compact counter snapshot at record time
+        The ``metrics`` field holds every counter's value at record time
         (request totals, cache hits, failures) — enough to cross-check a
-        ``ledger summarize`` report against a ``--metrics-out`` dump.
+        ``ledger summarize`` report against a ``--metrics-out`` dump.  It
+        reads the counters alone, so no histogram window is copied or
+        sorted per request.
         ``admission`` carries the gateway's outcome and queue wait when the
         request arrived through one (``admission="direct"`` otherwise).
         """
@@ -445,39 +387,24 @@ class ForecastEngine:
             "sax": request.config.sax is not None,
             "model": request.config.model,
             "horizon": int(request.horizon),
-            "execution": (
-                output.metadata.get("execution", request.execution)
-                if output
-                else request.execution
-            ),
             "strategy": (
                 output.metadata.get("strategy", request.config.strategy)
                 if output
                 else request.config.strategy
             ),
             "cache_hit": response.cache_hit,
-            "partial": response.partial,
             "attempts": response.attempts,
             "error": response.error,
             "wall_seconds": round(response.wall_seconds, 9),
             "prompt_tokens": output.prompt_tokens if output else 0,
             "generated_tokens": output.generated_tokens if output else 0,
             "ingest": output.metadata.get("ingest") if output else None,
-            "queue_wait_seconds": (
-                round(output.metadata["queue_wait_seconds"], 9)
-                if output and "queue_wait_seconds" in output.metadata
-                else None
-            ),
             "timings": (
                 {k: round(v, 9) for k, v in output.timings.items()}
                 if output
                 else {}
             ),
             "spans": span.to_dict() if span.is_recording else None,
-            "metrics": {
-                name: instrument["value"]
-                for name, instrument in self.metrics.snapshot().items()
-                if instrument.get("type") == "counter"
-            },
+            "metrics": self.metrics.counter_values(),
         }
         return record

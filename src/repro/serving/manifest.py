@@ -9,15 +9,13 @@ one per series/configuration pair::
          "num_samples": 3, "horizon": 8},
         {"name": "gas-sax", "dataset": "gas_rate", "horizon": 8,
          "sax": {"segment_length": 6, "alphabet_size": 5}},
-        {"csv": "data/mine.csv", "horizon": 24, "deadline": 30.0,
-         "execution": "batched"}
+        {"csv": "data/mine.csv", "horizon": 24, "deadline": 30.0}
       ]
     }
 
 ``num_samples`` is the canonical sample-count key (the legacy ``samples``
 spelling is rewritten by the spec layer's shared alias table, with a
-deprecation warning); ``execution`` selects ``"batched"`` (default)
-or ``"continuous"`` ensemble decoding, with bit-identical outputs.
+deprecation warning).
 ``strategy`` picks a prompt strategy (``"patch"``, ``"decompose"``,
 ``"auto"``, ...) and ``patch_length`` sizes the patch strategy's
 aggregation window — both validated by ``MultiCastConfig``.
@@ -38,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import MultiCastConfig, SaxConfig
-from repro.core.spec import EXECUTION_MODES, canonicalize_sampling_options
+from repro.core.spec import canonicalize_sampling_options
 from repro.exceptions import ConfigError
 from repro.serving.request import ForecastRequest
 
@@ -65,7 +63,7 @@ _CONFIG_KEYS = {
 
 _JOB_KEYS = frozenset(_CONFIG_KEYS) | {
     "name", "dataset", "csv", "horizon", "sax", "deadline", "use_cache",
-    "execution", "tenant",
+    "tenant",
 }
 
 
@@ -80,7 +78,6 @@ class BatchJob:
     csv: str | None = None
     deadline: float | None = None
     use_cache: bool = True
-    execution: str = "batched"
     tenant: str = ""
 
     def to_request(self, history: np.ndarray) -> ForecastRequest:
@@ -96,7 +93,6 @@ class BatchJob:
             use_cache=self.use_cache,
             name=self.name,
             tenant=self.tenant,
-            execution=self.execution,
         )
 
 
@@ -119,11 +115,6 @@ def _parse_job(index: int, raw: dict) -> BatchJob:
         )
     if "horizon" not in raw:
         raise ConfigError(f"job {index} is missing the required 'horizon'")
-    if raw.get("execution", "batched") not in EXECUTION_MODES:
-        raise ConfigError(
-            f"job {index}: execution must be one of {EXECUTION_MODES}, "
-            f"got {raw['execution']!r}"
-        )
 
     config_kwargs = {
         field_name: raw[key]
@@ -144,7 +135,6 @@ def _parse_job(index: int, raw: dict) -> BatchJob:
         csv=raw.get("csv"),
         deadline=raw.get("deadline"),
         use_cache=bool(raw.get("use_cache", True)),
-        execution=str(raw.get("execution", "batched")),
         tenant=str(raw.get("tenant", "")),
     )
 

@@ -208,6 +208,17 @@ class MetricsRegistry:
             instruments = dict(self._instruments)
         return {name: inst.snapshot() for name, inst in sorted(instruments.items())}
 
+    def counter_values(self) -> dict[str, float]:
+        """Every counter's current value, by name — the cheap subset of
+        :meth:`snapshot` (no histogram window is copied or sorted)."""
+        with self._lock:
+            instruments = dict(self._instruments)
+        return {
+            name: inst.value
+            for name, inst in sorted(instruments.items())
+            if isinstance(inst, Counter)
+        }
+
     def to_json(self, indent: int | None = 2) -> str:
         """The full snapshot serialised as JSON (the ``--metrics-out`` dump)."""
         return json.dumps(self.snapshot(), indent=indent)

@@ -5,7 +5,7 @@ forecast — the series, the pipeline configuration, the horizon — plus the
 serving-level contract: an optional per-request deadline and cache opt-out.
 A :class:`ForecastResponse` wraps the resulting
 :class:`~repro.core.output.ForecastOutput` with serving outcomes (cache hit,
-partial degradation, retry count, error) so batch callers can triage without
+retry count, error) so batch callers can triage without
 exception handling.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.config import MultiCastConfig
 from repro.core.output import ForecastOutput
-from repro.core.spec import EXECUTION_MODES, ForecastSpec
+from repro.core.spec import ForecastSpec
 from repro.exceptions import ConfigError, ReproError
 
 __all__ = ["ForecastRequest", "ForecastResponse"]
@@ -51,12 +51,6 @@ class ForecastRequest:
         ledger attribution key).  Deliberately **not** part of the result
         digest: identical specs from different tenants coalesce to one
         computation.  Empty for direct engine calls.
-    execution:
-        How the sample ensemble is decoded — ``"batched"`` (the request's
-        own lockstep decoder, the default) or ``"continuous"`` (the
-        engine's shared cross-request scheduler; see
-        :mod:`repro.scheduling`) — bit-identical outputs in both modes,
-        so the result cache ignores it.
     """
 
     history: np.ndarray
@@ -67,7 +61,6 @@ class ForecastRequest:
     use_cache: bool = True
     name: str = ""
     tenant: str = ""
-    execution: str = "batched"
 
     def __post_init__(self) -> None:
         self.history = np.asarray(self.history, dtype=float)
@@ -76,11 +69,6 @@ class ForecastRequest:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}"
-            )
-        if self.execution not in EXECUTION_MODES:
-            raise ConfigError(
-                f"execution must be one of {EXECUTION_MODES}, "
-                f"got {self.execution!r}"
             )
 
     @classmethod
@@ -95,8 +83,8 @@ class ForecastRequest:
     ) -> "ForecastRequest":
         """Wrap an executable :class:`~repro.core.spec.ForecastSpec`.
 
-        The spec carries the pipeline half (series, horizon, config, seed,
-        execution); the keyword arguments add the serving-level contract.
+        The spec carries the pipeline half (series, horizon, config,
+        seed); the keyword arguments add the serving-level contract.
         """
         spec.require_series()
         return cls(
@@ -108,7 +96,6 @@ class ForecastRequest:
             use_cache=use_cache,
             name=name,
             tenant=tenant,
-            execution=spec.execution,
         )
 
     @property
@@ -121,9 +108,11 @@ class ForecastRequest:
 class ForecastResponse:
     """Outcome of serving one :class:`ForecastRequest`.
 
-    ``output`` is None exactly when ``error`` is set.  ``partial`` marks a
-    gracefully degraded forecast aggregated from fewer than the requested
-    number of samples (some draws failed or ran past the deadline).
+    ``output`` is None exactly when ``error`` is set.  ``partial`` is
+    always False: every stream of a request shares one token budget and a
+    deadline abandons all live streams together, so a forecast is never
+    aggregated from fewer than the requested samples.  The field stays
+    only because the end-to-end benchmark's load generator reads it.
 
     ``trace`` carries the request's finished
     :class:`~repro.observability.Span` tree when the engine was built with
@@ -142,7 +131,7 @@ class ForecastResponse:
 
     @property
     def ok(self) -> bool:
-        """True when the request produced a forecast (possibly partial)."""
+        """True when the request produced a forecast."""
         return self.error is None and self.output is not None
 
     @property
@@ -167,10 +156,6 @@ class ForecastResponse:
         flags = []
         if self.cache_hit:
             flags.append("cached")
-        if self.partial:
-            completed = self.output.metadata.get("completed_samples", "?")
-            requested = self.output.metadata.get("requested_samples", "?")
-            flags.append(f"partial {completed}/{requested}")
         if self.attempts > 1:
             flags.append(f"{self.attempts} attempts")
         suffix = f" [{', '.join(flags)}]" if flags else ""

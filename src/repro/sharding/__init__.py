@@ -1,8 +1,7 @@
 """Multi-process sharded serving: decode workers beyond one GIL.
 
-Both in-process throughput levers — lockstep batched decoding
-(:mod:`repro.llm.batch`) and the cross-request continuous scheduler
-(:mod:`repro.scheduling`) — execute inside one Python process.  This
+The in-process throughput lever — lockstep batched decoding
+(:mod:`repro.llm.batch`) — executes inside one Python process.  This
 package scales *out* instead of up:
 
 * :class:`ShardedEngine` — the supervisor: fans

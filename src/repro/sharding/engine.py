@@ -1,8 +1,8 @@
 """The sharded engine: fan requests out to decode worker *processes*.
 
-Both decode paths of the serving stack — per-request lockstep batched
-decoding and the continuous scheduler — decode inside one Python
-process, so one GIL is the ceiling on sustained throughput.
+The serving stack's decode path — per-request lockstep batched
+decoding — runs inside one Python process, so one GIL is the ceiling on
+sustained throughput.
 :class:`ShardedEngine` is the escape hatch production LLM-serving stacks
 take when a single executor saturates: N worker processes (see
 :mod:`repro.sharding.worker`), each a complete single-process serving
@@ -35,8 +35,8 @@ behind :class:`~repro.gateway.gateway.ForecastGateway` — same
 ``submit`` / ``forecast`` / ``metrics`` / ``ledger`` surface — and
 bit-identical to it under fixed seeds: forecasts are pure functions of
 ``(history, config, horizon, seed)``, and workers run the exact
-single-process code path.  Tests pin this across {batched, continuous} ×
-{cold, warm cache} × shard counts.
+single-process code path.  Tests pin this across {cold, warm cache} ×
+shard counts.
 """
 
 from __future__ import annotations
@@ -143,17 +143,14 @@ def _failure_record(pending: _Pending, response: ForecastResponse) -> dict:
         "sax": request.config.sax is not None,
         "model": request.config.model,
         "horizon": int(request.horizon),
-        "execution": request.execution,
         "strategy": request.config.strategy,
         "cache_hit": False,
-        "partial": False,
         "attempts": response.attempts,
         "error": response.error,
         "wall_seconds": 0.0,
         "prompt_tokens": 0,
         "generated_tokens": 0,
         "ingest": None,
-        "queue_wait_seconds": None,
         "timings": {},
         "spans": None,
         "shard": None,
@@ -175,7 +172,7 @@ class ShardedEngine:
         ``multiprocessing`` start method; ``"spawn"`` (default) is safe
         alongside the supervisor's threads, ``"fork"`` starts faster on
         Linux when no other threads are live yet.
-    result_cache_entries / ingest_cache_tokens / max_resident_streams:
+    result_cache_entries / ingest_cache_tokens:
         Forwarded to each worker's engine (``0`` disables the respective
         cache, exactly as in-process).
     spill_dir:
@@ -207,7 +204,6 @@ class ShardedEngine:
         start_method: str = "spawn",
         result_cache_entries: int = 128,
         ingest_cache_tokens: int = 262_144,
-        max_resident_streams: int = 64,
         spill_dir: str | None = None,
         spill_max_tokens: int = 1_048_576,
         max_attempts: int = 2,
@@ -235,7 +231,6 @@ class ShardedEngine:
         self._options = {
             "result_cache_entries": int(result_cache_entries),
             "ingest_cache_tokens": int(ingest_cache_tokens),
-            "max_resident_streams": int(max_resident_streams),
             "spill_dir": spill_dir if spill_max_tokens > 0 else None,
             "spill_max_tokens": int(spill_max_tokens),
             "chaos_delay_seconds": float(chaos_delay_seconds),
@@ -505,7 +500,6 @@ class ShardedEngine:
             output=message["output"],
             error=message["error"],
             cache_hit=message["cache_hit"],
-            partial=message["partial"],
             attempts=attempts,
             wall_seconds=message["wall_seconds"],
         )
@@ -530,8 +524,7 @@ class ShardedEngine:
         pending.future.set_result(response)
 
     def _end_trace(self, pending: _Pending, response: ForecastResponse) -> None:
-        outcome = "partial" if response.partial else "ok"
-        pending.root.set_attribute("outcome", outcome if response.ok else "failed")
+        pending.root.set_attribute("outcome", "ok" if response.ok else "failed")
         if response.error is not None:
             pending.root.set_attribute("error", response.error)
         pending.root.finish()

@@ -2,9 +2,8 @@
 
 The sharded engine must send *repeated* specs to the *same* worker, or
 every per-worker cache the serving stack has accumulated — the result
-cache, the :class:`~repro.llm.state_cache.IngestStateCache`, the
-:class:`~repro.scheduling.RadixPrefillTree` — degrades by a factor of the
-shard count.  Rendezvous hashing (highest random weight) gives that
+cache and the :class:`~repro.llm.state_cache.IngestStateCache` — degrades
+by a factor of the shard count.  Rendezvous hashing (highest random weight) gives that
 affinity with two properties a modulo hash lacks:
 
 * **minimal disruption** — when a shard dies or is added, only the keys

@@ -5,9 +5,9 @@ separate OS process running :func:`worker_main` — a plain module-level
 function so the ``spawn`` start method (the safe default in a process
 that also runs supervisor threads) can import and launch it.  A worker
 owns a complete single-process stack: its own
-:class:`~repro.serving.engine.ForecastEngine` (result cache,
-:class:`~repro.scheduling.ContinuousScheduler`, radix prefill tree) over
-its own :class:`~repro.llm.state_cache.IngestStateCache`,
+:class:`~repro.serving.engine.ForecastEngine` (result cache, lockstep
+batched decoder) over its own
+:class:`~repro.llm.state_cache.IngestStateCache`,
 backed by the *shared* :class:`~repro.sharding.SpillStore` directory so
 prefill state evicted here outlives this process and can warm any other
 shard.
@@ -78,7 +78,7 @@ def _build_engine(options: dict):
             options["spill_dir"],
             max_tokens=int(options.get("spill_max_tokens", 1_048_576)),
         )
-    # A record costs a full metrics snapshot: build none nobody reads.
+    # Build no ledger record nobody reads.
     ledger = _CollectingLedger() if options.get("ledger", True) else None
     engine = ForecastEngine(
         cache=ForecastCache(max_entries=int(options.get("result_cache_entries", 128))),
@@ -86,7 +86,6 @@ def _build_engine(options: dict):
             max_tokens=int(options.get("ingest_cache_tokens", 262_144)),
             spill=spill,
         ),
-        max_resident_streams=int(options.get("max_resident_streams", 64)),
         ledger=ledger,
     )
     return engine, ledger
@@ -129,7 +128,6 @@ def worker_main(options: dict, conn) -> None:
                     "output": response.output,
                     "error": response.error,
                     "cache_hit": response.cache_hit,
-                    "partial": response.partial,
                     "attempts": response.attempts,
                     "wall_seconds": response.wall_seconds,
                     "record": record,

@@ -2,8 +2,8 @@
 
 A :class:`~repro.strategies.base.PromptStrategy` owns the serialisation
 half of a forecast — history → token prompt → generated tokens → values —
-while the forecaster keeps the sampling half (ingest cache, batched and
-continuous decoding) and hands it to the strategy as a
+while the forecaster keeps the sampling half (ingest cache, lockstep
+batched decoding) and hands it to the strategy as a
 :class:`~repro.strategies.base.StrategyContext`.  Strategies are selected
 by the ``strategy`` field on :class:`~repro.core.spec.ForecastSpec` /
 :class:`~repro.core.config.MultiCastConfig`:

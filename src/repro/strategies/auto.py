@@ -22,7 +22,7 @@ from repro.core.multiplex import get_multiplexer
 from repro.core.output import ForecastOutput
 from repro.decomposition import estimate_period
 from repro.exceptions import FittingError
-from repro.strategies.base import PromptStrategy, StrategyContext, get_strategy
+from repro.strategies.base import PromptStrategy, StrategyContext
 
 __all__ = ["AutoStrategy", "select_strategy"]
 

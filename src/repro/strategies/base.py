@@ -4,11 +4,11 @@ A prompt strategy owns the *serialisation half* of a forecast: how the
 rescaled history becomes a token prompt, how many tokens the continuation
 needs, which grammar constrains generation, and how generated streams are
 parsed back into value space.  The sampling half — prompt ingest, the
-ingest-state cache, batched/continuous decoding — stays in
+ingest-state cache, lockstep batched decoding — stays in
 :class:`~repro.core.forecaster.MultiCastForecaster` and is handed to the
 strategy as a :class:`StrategyContext`, so every strategy (including the
 sub-requests a composite strategy issues) flows through the engine,
-scheduler and cache layers unchanged.
+decoder and cache layers unchanged.
 
 Strategies are stateless: one instance may serve any number of concurrent
 forecasts.  They are selected by name through the ``strategy`` field of
@@ -42,8 +42,7 @@ class StrategyContext(ABC):
     The context is implemented by
     :class:`~repro.core.forecaster.MultiCastForecaster` (one per request);
     strategies never talk to the LLM substrate directly, so ingest
-    caching, batched decoding, continuous scheduling and deadline stops
-    apply identically to every strategy — and to every *sub-request* a
+    caching, batched decoding and deadline stops apply identically to every strategy — and to every *sub-request* a
     composite strategy issues through :meth:`subforecast`.
     """
 
@@ -66,7 +65,7 @@ class StrategyContext(ABC):
 
         Returns ``(streams, generated_tokens, simulated_seconds, info)``
         exactly as the forecaster's generation machinery reports them;
-        ``info`` carries execution/ingest metadata merged into the
+        ``info`` carries decode/ingest metadata merged into the
         output's ``metadata``.
         """
 
@@ -86,8 +85,8 @@ class StrategyContext(ABC):
     def subforecast(self, values, horizon, seed, label=""):
         """Run a nested forecast through the full request machinery.
 
-        The sub-request uses the parent's execution mode, ingest-state
-        cache, scheduler and stop callable — so it hits the ingest cache
+        The sub-request uses the parent's ingest-state cache and stop
+        callable — so it hits the ingest cache
         and the batched decoder like any top-level request — but always
         the ``"default"`` strategy (composites never recurse).  Returns
         the sub-request's :class:`~repro.core.output.ForecastOutput`.

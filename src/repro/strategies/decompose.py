@@ -5,8 +5,8 @@ structural components separately: each dimension is split into
 trend + seasonal + residual by classical decomposition
 (:mod:`repro.decomposition.classical`), the three component matrices are
 forecast as *separate sub-requests* through the parent request's full
-machinery — so every sub-request hits the ingest-state cache, the batched
-decoder or the continuous scheduler exactly like a top-level request — and
+machinery — so every sub-request hits the ingest-state cache and the
+batched decoder exactly like a top-level request — and
 the component forecasts are recombined sample-by-sample with exact token
 and sample bookkeeping in the returned
 :class:`~repro.core.output.ForecastOutput`.
@@ -92,10 +92,8 @@ class DecomposeThenForecastStrategy(PromptStrategy):
             forecast_outputs = [o for o in outputs.values() if o is not None]
             if forecast_outputs:
                 completed = min(o.num_samples for o in forecast_outputs)
-                execution = forecast_outputs[0].metadata.get("execution")
             else:  # an all-zero series: every component was skipped
                 completed = config.num_samples
-                execution = None
             combined = np.zeros((completed, horizon, d))
             for output in forecast_outputs:
                 combined += output.samples[:completed]
@@ -125,8 +123,6 @@ class DecomposeThenForecastStrategy(PromptStrategy):
             "requested_samples": config.num_samples,
             "completed_samples": completed,
         }
-        if execution is not None:
-            metadata["execution"] = execution
         return ForecastOutput(
             values=point,
             samples=combined,

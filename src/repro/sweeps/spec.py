@@ -54,7 +54,6 @@ _MULTICAST_KNOBS = frozenset(
         "max_context_tokens",
         "strategy",
         "patch_length",
-        "execution",
     }
 )
 

@@ -1,20 +1,21 @@
 """Lockstep batched decoding and the ForecastSpec API.
 
-Pins the tentpole contracts of the batched execution path:
+Pins the contracts of the one decode path:
 
-* both execution modes (``batched``, ``continuous``) reproduce, at the
-  forecaster level, the pinned digests of drawing every sample on its own
-  from a fresh prompt ingest — across schemes, SAX, temperatures, and
-  cold/warm ingest caches;
+* the forecaster reproduces the pinned digests of drawing every sample
+  on its own from a fresh prompt ingest — across schemes, SAX,
+  temperatures, and cold/warm ingest caches;
 * the :class:`~repro.llm.batch.BatchedDecoder` equals per-stream
   decoding token for token and log-prob for log-prob on every
   registered backend preset;
-* scheduling behaviour — heterogeneous budgets, retirement, early stop —
+* decoder behaviour — heterogeneous budgets, retirement, early stop —
   matches its documentation;
-* slots whose constraint admits one id skip scoring in both decoders and
-  still consume each stream's draw, with unchanged step telemetry;
+* slots whose constraint admits one id skip scoring and still consume
+  each stream's draw, with unchanged step telemetry;
 * :class:`~repro.core.ForecastSpec` validates eagerly, stays frozen, and
-  round-trips through the serving layer (engine, request, manifest, CLI).
+  round-trips through the serving layer (engine, request, manifest, CLI);
+  the removed ``execution`` knob is rejected everywhere it used to be
+  accepted.
 """
 
 import hashlib
@@ -36,10 +37,7 @@ from repro.llm import (
     get_model,
 )
 from repro.observability import read_ledger
-from repro.scheduling import ContinuousScheduler
 from repro.serving import ForecastEngine, ForecastRequest, load_manifest
-
-EXECUTIONS = ("batched", "continuous")
 
 #: ``sha256(values.tobytes() + samples.tobytes())`` of each
 #: :class:`TestForecasterEquivalence` case with every sample drawn on its
@@ -86,23 +84,16 @@ def _spec(**overrides):
 
 
 class TestForecasterEquivalence:
-    """Both execution modes reproduce the per-draw digests byte for byte."""
+    """Every scheme, raw or SAX, reproduces the per-draw digests byte for
+    byte."""
 
     @pytest.mark.parametrize("scheme", ["di", "vi", "vc"])
     @pytest.mark.parametrize("quantized", [False, True])
     def test_modes_bit_identical(self, scheme, quantized):
         sax = SaxConfig(segment_length=4, alphabet_size=5) if quantized else None
-        spec = _spec(scheme=scheme, sax=sax)
-        outputs = {
-            mode: MultiCastForecaster().forecast(spec.replace(execution=mode))
-            for mode in EXECUTIONS
-        }
-        reference = outputs["batched"]
-        for mode, output in outputs.items():
-            assert _digest(output) == PER_DRAW[(scheme, quantized)]
-            assert output.generated_tokens == reference.generated_tokens
-            assert output.simulated_seconds == reference.simulated_seconds
-            assert output.metadata["execution"] == mode
+        output = MultiCastForecaster().forecast(_spec(scheme=scheme, sax=sax))
+        assert _digest(output) == PER_DRAW[(scheme, quantized)]
+        assert "execution" not in output.metadata
 
     def test_batched_warm_cache_identity(self):
         spec = _spec(scheme="vi")
@@ -121,9 +112,8 @@ class TestForecasterEquivalence:
         # temperature splits the batch into many groups.  Both ends must
         # still match the per-draw digest exactly.
         spec = _spec(temperature=temperature, num_samples=4)
-        for mode in EXECUTIONS:
-            output = MultiCastForecaster().forecast(spec.replace(execution=mode))
-            assert _digest(output) == PER_DRAW[("temperature", temperature)]
+        output = MultiCastForecaster().forecast(spec)
+        assert _digest(output) == PER_DRAW[("temperature", temperature)]
 
     def test_batched_metadata_reports_occupancy(self):
         output = MultiCastForecaster().forecast(_spec())
@@ -251,7 +241,7 @@ def _prefix_telemetry(results, budgets):
 class TestForcedPositions:
     """A slot whose mask admits one id is not scored, but still drawn.
 
-    Both decoders take the forced id without scoring the group; each
+    The decoder takes the forced id without scoring the group; each
     stream must still spend its ``rng.random()`` there (none when greedy)
     and record log-prob ``0.0``, so tokens, log-probs, generator states
     and the step telemetry equal per-stream ``generate``.
@@ -272,41 +262,25 @@ class TestForcedPositions:
             return SetConstraint({3})
         return PeriodicPatternConstraint([cls.DIGITS, cls.DIGITS, cls.DIGITS, {10}])
 
-    def _decode(self, execution, llm, rngs, constraint, temperature):
-        if execution == "batched":
-            decoder = llm.generate_batch(
-                self.CONTEXT,
-                self.BUDGETS,
-                rngs,
-                constraint=constraint,
-                temperature=temperature,
-            )
-            return decoder.results, decoder.occupancy, decoder.group_counts
-        scheduler = ContinuousScheduler()
-        try:
-            handle = scheduler.submit(
-                llm,
-                self.CONTEXT,
-                self.BUDGETS,
-                rngs,
-                constraint=constraint,
-                temperature=temperature,
-            )
-            results = handle.result(timeout=60)
-        finally:
-            scheduler.close()
-        return results, handle.occupancy, handle.group_counts
+    def _decode(self, llm, rngs, constraint, temperature):
+        decoder = llm.generate_batch(
+            self.CONTEXT,
+            self.BUDGETS,
+            rngs,
+            constraint=constraint,
+            temperature=temperature,
+        )
+        return decoder.results, decoder.occupancy, decoder.group_counts
 
-    @pytest.mark.parametrize("execution", ["batched", "continuous"])
     @pytest.mark.parametrize("kind", ["set", "vi"])
     @pytest.mark.parametrize("temperature", [0.0, 1.0, 1.7])
-    def test_equal_to_per_stream_generate(self, execution, kind, temperature):
+    def test_equal_to_per_stream_generate(self, kind, temperature):
         llm = get_model("llama2-7b-sim", vocab_size=11)
         constraint = self._constraint(kind)
         seeds = child_seeds(np.random.default_rng(23), len(self.BUDGETS))
         rngs = [np.random.default_rng(seed) for seed in seeds]
         results, occupancy, group_counts = self._decode(
-            execution, llm, rngs, constraint, temperature
+            llm, rngs, constraint, temperature
         )
         for seed, budget, rng, result in zip(seeds, self.BUDGETS, rngs, results):
             own = np.random.default_rng(seed)
@@ -330,15 +304,13 @@ class TestForcedPositions:
                     )
         assert (occupancy, group_counts) == _prefix_telemetry(results, self.BUDGETS)
 
-    @pytest.mark.parametrize("execution", ["batched", "continuous"])
-    def test_telemetry_pinned(self, execution):
+    def test_telemetry_pinned(self):
         # Captured from the decoder that scored every slot.  e2ebench's
         # llm.groups_per_stream and llm.batch_occupancy_mean derive from
         # these lists, so skipping forced slots must leave them as they are.
         llm = get_model("llama2-7b-sim", vocab_size=11)
         seeds = child_seeds(np.random.default_rng(23), len(self.BUDGETS))
         _, occupancy, group_counts = self._decode(
-            execution,
             llm,
             [np.random.default_rng(seed) for seed in seeds],
             self._constraint("vi"),
@@ -362,8 +334,14 @@ class TestForecastSpec:
             MultiCastForecaster().forecast(template)
 
     def test_bad_execution_rejected(self):
-        with pytest.raises(ConfigError, match="execution"):
-            ForecastSpec(execution="warp")
+        # The knob is gone: even its old default is an unknown field.
+        for value in ("batched", "continuous"):
+            with pytest.raises(TypeError, match="execution"):
+                ForecastSpec(execution=value)
+            with pytest.raises(ConfigError, match="execution"):
+                _spec().replace(execution=value)
+            with pytest.raises(TypeError, match="execution"):
+                ForecastRequest(_history(), horizon=4, execution=value)
 
     def test_bad_pipeline_field_rejected_eagerly(self):
         with pytest.raises(ConfigError):
@@ -417,14 +395,14 @@ class TestServingIntegration:
         assert snapshot["decode_batch_occupancy"]["count"] > 0
         assert snapshot["decode_batch_occupancy"]["max"] <= spec.num_samples
         records = read_ledger(ledger)
-        assert [r["execution"] for r in records] == ["batched", "batched"]
+        assert [r["outcome"] for r in records] == ["ok", "ok"]
+        assert not any("execution" in r or "partial" in r for r in records)
 
     def test_request_from_spec_round_trips(self):
-        spec = _spec(execution="continuous")
+        spec = _spec()
         request = ForecastRequest.from_spec(
             spec, deadline_seconds=30.0, name="demo"
         )
-        assert request.execution == "continuous"
         assert request.horizon == spec.horizon
         assert request.effective_seed == spec.seed
         assert request.deadline_seconds == 30.0
@@ -432,39 +410,40 @@ class TestServingIntegration:
         with pytest.raises(ConfigError, match="template"):
             ForecastRequest.from_spec(ForecastSpec())
 
-    def test_manifest_parses_execution_and_num_samples(self, tmp_path):
+    def test_manifest_parses_num_samples(self, tmp_path):
         path = tmp_path / "jobs.json"
         path.write_text(json.dumps({
             "jobs": [
                 {"name": "a", "dataset": "gas_rate", "horizon": 4,
-                 "num_samples": 2, "execution": "batched"},
+                 "num_samples": 2},
                 {"name": "b", "dataset": "gas_rate", "horizon": 4},
             ]
         }))
         jobs = load_manifest(path)
-        assert jobs[0].execution == "batched"
         assert jobs[0].config.num_samples == 2
-        assert jobs[1].execution == "batched"  # serving default
         request = jobs[0].to_request(_history())
-        assert request.execution == "batched"
+        assert request.config.num_samples == 2
 
     def test_manifest_rejects_bad_execution(self, tmp_path):
-        path = tmp_path / "jobs.json"
-        path.write_text(json.dumps([
-            {"dataset": "gas_rate", "horizon": 4, "execution": "warp"}
-        ]))
-        with pytest.raises(ConfigError, match="execution"):
-            load_manifest(path)
+        # Both old values fail through the unknown-key check.
+        for value in ("batched", "continuous"):
+            path = tmp_path / f"{value}.json"
+            path.write_text(json.dumps([
+                {"dataset": "gas_rate", "horizon": 4, "execution": value}
+            ]))
+            with pytest.raises(ConfigError, match="unknown keys.*execution"):
+                load_manifest(path)
 
-    def test_cli_execution_flag_is_value_neutral(self, tmp_path, capsys):
-        for mode in EXECUTIONS:
-            out_path = tmp_path / f"{mode}.csv"
-            code = main([
-                "forecast", "--dataset", "gas_rate", "--num-samples", "2",
-                "--horizon", "5", "--execution", mode,
-                "--output", str(out_path),
-            ])
-            assert code == 0
-            digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-            assert digest == PER_DRAW_CLI_CSV
+    def test_cli_forecast_reproduces_per_draw_csv(self, tmp_path, capsys):
+        out_path = tmp_path / "forecast.csv"
+        code = main([
+            "forecast", "--dataset", "gas_rate", "--num-samples", "2",
+            "--horizon", "5", "--output", str(out_path),
+        ])
+        assert code == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == PER_DRAW_CLI_CSV
+        for command in ("forecast", "backtest"):
+            with pytest.raises(SystemExit):
+                main([command, "--dataset", "gas_rate", "--execution", "batched"])
         capsys.readouterr()

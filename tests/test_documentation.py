@@ -30,7 +30,6 @@ PACKAGES = [
     "repro.exceptions",
     "repro.serving",
     "repro.observability",
-    "repro.scheduling",
     "repro.gateway",
     "repro.loadtest",
     "repro.sharding",

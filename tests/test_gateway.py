@@ -29,13 +29,11 @@ from repro.serving import ForecastCache, ForecastEngine, ForecastRequest
 HISTORY = synthetic_multivariate(n=80, num_dims=2, seed=3).values
 
 
-def _spec(seed=0, execution="batched", num_samples=2, horizon=4):
+def _spec(seed=0, num_samples=2, horizon=4):
     config = MultiCastConfig(
         num_samples=num_samples, model="uniform-sim", seed=seed
     )
-    return ForecastSpec.from_config(
-        config, series=HISTORY, horizon=horizon, execution=execution
-    )
+    return ForecastSpec.from_config(config, series=HISTORY, horizon=horizon)
 
 
 # -- token bucket / admission controller -------------------------------------
@@ -109,9 +107,8 @@ def test_admission_controller_charges_tenant_quotas():
 # -- bit-identity --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("execution", ["batched", "continuous"])
-def test_gateway_results_bit_identical_to_direct_engine(execution):
-    spec = _spec(seed=11, execution=execution)
+def test_gateway_results_bit_identical_to_direct_engine():
+    spec = _spec(seed=11)
     with ForecastEngine() as engine:
         direct = engine.forecast(ForecastRequest.from_spec(spec))
     assert direct.ok

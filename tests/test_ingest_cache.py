@@ -250,11 +250,9 @@ def _digest(output) -> str:
     ).hexdigest()
 
 
-def _forecast(config, state_cache=None, execution="batched"):
+def _forecast(config, state_cache=None):
     forecaster = MultiCastForecaster(state_cache=state_cache)
-    spec = ForecastSpec.from_config(
-        config, series=HISTORY, horizon=5, execution=execution
-    )
+    spec = ForecastSpec.from_config(config, series=HISTORY, horizon=5)
     return forecaster.forecast(spec)
 
 
@@ -269,11 +267,10 @@ class TestBitIdentity:
         cache = IngestStateCache()
         cold = _forecast(config, state_cache=cache)  # cache miss
         warm = _forecast(config, state_cache=cache)  # cache fork
-        continuous = _forecast(config, execution="continuous")
         assert cold.metadata["ingest"] == "miss"
         assert warm.metadata["ingest"] == "fork"
         expected = PER_DRAW[f"{scheme}-{'raw' if sax is None else 'sax'}"]
-        for output in (baseline, cold, warm, continuous):
+        for output in (baseline, cold, warm):
             assert _digest(output) == expected
             assert output.prompt_tokens == baseline.prompt_tokens
             assert output.generated_tokens == baseline.generated_tokens
@@ -288,12 +285,10 @@ class TestBitIdentity:
             ForecastSpec.from_config(config, series=HISTORY[:55], horizon=4)
         )
         assert extended.metadata["ingest"] == "extend"
-        continuous = MultiCastForecaster().forecast(
-            ForecastSpec.from_config(
-                config, series=HISTORY[:55], horizon=4, execution="continuous"
-            )
+        uncached = MultiCastForecaster().forecast(
+            ForecastSpec.from_config(config, series=HISTORY[:55], horizon=4)
         )
-        assert _digest(extended) == _digest(continuous) == PER_DRAW["extended"]
+        assert _digest(extended) == _digest(uncached) == PER_DRAW["extended"]
 
     def test_simulated_seconds_charge_ingest_once(self):
         config = MultiCastConfig(scheme="di", num_samples=4, seed=0)

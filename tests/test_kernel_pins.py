@@ -10,13 +10,9 @@ ingest.  Together they cover:
 * growing backtest windows through a :class:`ForecastEngine`, which take
   the ``miss``, ``extend`` and ``fork`` ingest outcomes in turn;
 * a SAX request.
-
-Both lockstep executions must reproduce the same bytes.
 """
 
 import hashlib
-
-import pytest
 
 from repro.core.forecaster import MultiCastForecaster
 from repro.core.spec import ForecastSpec
@@ -30,7 +26,6 @@ SETTINGS = {
     "scheme": "vi",
     "horizon": 12,
 }
-EXECUTIONS = ["batched", "continuous"]
 
 ZERO_SHOT = "e5dd5380faf5efef5fd148f8969a319c28252559e1bccfe517426fde076d5d54"
 #: (rows, seed, prompt tokens, ingest outcome, digest), served in order.
@@ -55,14 +50,8 @@ def _digest(output) -> str:
     ).hexdigest()
 
 
-@pytest.mark.parametrize("execution", EXECUTIONS)
-def test_zero_shot_prompt_past_every_checkpoint(execution):
-    spec = ForecastSpec(
-        series=weather(n=120, seed=15).values,
-        seed=61,
-        execution=execution,
-        **SETTINGS,
-    )
+def test_zero_shot_prompt_past_every_checkpoint():
+    spec = ForecastSpec(series=weather(n=120, seed=15).values, seed=61, **SETTINGS)
     output = MultiCastForecaster(state_cache=IngestStateCache()).forecast(spec)
     assert output.prompt_tokens == 1560
     assert output.generated_tokens == 780
@@ -70,14 +59,11 @@ def test_zero_shot_prompt_past_every_checkpoint(execution):
     assert _digest(output) == ZERO_SHOT
 
 
-@pytest.mark.parametrize("execution", EXECUTIONS)
-def test_backtest_windows_through_every_ingest_outcome(execution):
+def test_backtest_windows_through_every_ingest_outcome():
     full = electricity(n=140, seed=7).values
     with ForecastEngine() as engine:
         for rows, seed, prompt_tokens, outcome, digest in BACKTEST:
-            spec = ForecastSpec(
-                series=full[:rows], seed=seed, execution=execution, **SETTINGS
-            )
+            spec = ForecastSpec(series=full[:rows], seed=seed, **SETTINGS)
             output = engine.forecast(
                 ForecastRequest.from_spec(spec, use_cache=False)
             ).output
@@ -86,12 +72,10 @@ def test_backtest_windows_through_every_ingest_outcome(execution):
             assert _digest(output) == digest
 
 
-@pytest.mark.parametrize("execution", EXECUTIONS)
-def test_sax_request(execution):
+def test_sax_request():
     spec = ForecastSpec(
         series=gas_rate(n=120, seed=3).values,
         seed=11,
-        execution=execution,
         sax={"segment_length": 2, "alphabet_size": 10},
         **SETTINGS,
     )

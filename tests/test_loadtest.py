@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ConfigError
@@ -109,7 +108,7 @@ def test_replay_workload_repeat_scales_small_ledgers(tmp_path):
 def _sample(outcome="ok", latency=0.01, **kwargs):
     defaults = dict(
         name="s", tenant="t", outcome=outcome, latency_seconds=latency,
-        deadline_hit=outcome in ("ok", "partial"),
+        deadline_hit=outcome == "ok",
     )
     defaults.update(kwargs)
     return RequestSample(**defaults)
@@ -179,7 +178,7 @@ def test_run_loadtest_closed_loop():
         LoadTestConfig(requests=40, driver="closed", concurrency=4, distinct=4)
     )
     assert report.total == 40
-    assert report.ok + report.partial + report.failed == 40
+    assert report.ok + report.failed == 40
     assert report.coalesce_rate + report.cache_hit_rate > 0
 
 
@@ -271,10 +270,10 @@ def test_cli_serve_subcommand(tmp_path, capsys):
                 "jobs": [
                     {"name": "a", "dataset": "gas_rate", "horizon": 4,
                      "num_samples": 2, "model": "uniform-sim",
-                     "tenant": "alpha", "execution": "batched"},
+                     "tenant": "alpha"},
                     {"name": "b", "dataset": "gas_rate", "horizon": 4,
                      "num_samples": 2, "model": "uniform-sim",
-                     "tenant": "beta", "execution": "batched"},
+                     "tenant": "beta"},
                 ]
             }
         )

@@ -90,8 +90,6 @@ class TestTopLevelApi:
                 "ForecastEngine",
                 "ForecastRequest",
                 "ForecastResponse",
-                "ContinuousScheduler",
-                "RadixPrefillTree",
                 "Tracer",
                 "RunLedger",
                 "plan_forecast",
@@ -121,22 +119,17 @@ class TestTopLevelApi:
         import repro.core
 
         assert "ForecastSpec" in repro.core.__all__
-        assert "EXECUTION_MODES" in repro.core.__all__
 
     def test_scheduling_surface(self):
-        import repro.scheduling
-        from repro.core.spec import EXECUTION_MODES
+        """One decoder is left: the cross-request scheduler package and
+        the ``execution`` knob that selected it are gone."""
+        import importlib.util
 
-        assert "continuous" in EXECUTION_MODES
-        for name in (
-            "ContinuousScheduler",
-            "RadixPrefillTree",
-            "PrefillResult",
-            "RadixLookup",
-            "ScheduledDecode",
-        ):
-            assert name in repro.scheduling.__all__
-            assert hasattr(repro.scheduling, name)
+        import repro.core
+
+        assert importlib.util.find_spec("repro.scheduling") is None
+        assert "EXECUTION_MODES" not in repro.core.__all__
+        assert not hasattr(repro, "ContinuousScheduler")
 
 
 class TestRemainingFigures:

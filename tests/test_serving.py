@@ -275,32 +275,52 @@ class TestMetrics:
 class TestEngineEquivalence:
     @pytest.mark.parametrize("scheme", ["di", "vc"])
     def test_parallel_matches_sequential_exactly(self, scheme):
-        """The headline determinism property: a served forecast, on either
-        decoder, is bit-identical to drawing each sample on its own under
-        a fixed seed (the pinned per-draw digest)."""
+        """The headline determinism property: a served forecast is
+        bit-identical to drawing each sample on its own under a fixed seed
+        (the pinned per-draw digest)."""
         config = MultiCastConfig(scheme=scheme, num_samples=5, seed=42)
         with ForecastEngine() as engine:
-            for execution in ("batched", "continuous"):
-                served = engine.forecast(
-                    ForecastRequest(
-                        HISTORY, 7, config=config, execution=execution,
-                        use_cache=False,
-                    )
-                )
-                assert served.ok and not served.partial
-                assert _digest(served.output) == PER_DRAW[scheme]
+            served = engine.forecast(
+                ForecastRequest(HISTORY, 7, config=config, use_cache=False)
+            )
+        assert served.ok
+        assert _digest(served.output) == PER_DRAW[scheme]
 
     def test_sax_and_seed_override_equivalence(self):
         config = MultiCastConfig(num_samples=4, sax=SaxConfig(), seed=0)
         with ForecastEngine() as engine:
-            for execution in ("batched", "continuous"):
-                served = engine.forecast(
-                    ForecastRequest(
-                        HISTORY, 9, config=config, seed=5,
-                        execution=execution, use_cache=False,
-                    )
-                )
-                assert _digest(served.output) == PER_DRAW["sax"]
+            served = engine.forecast(
+                ForecastRequest(HISTORY, 9, config=config, seed=5, use_cache=False)
+            )
+        assert _digest(served.output) == PER_DRAW["sax"]
+
+    def test_many_threads_many_specs_no_drops_deterministic(self):
+        """Concurrent ``submit()`` under thread contention: no deadlock, no
+        dropped request, and every response equals its spec's reference."""
+
+        def request(seed):
+            config = MultiCastConfig(num_samples=4, seed=seed)
+            return ForecastRequest(HISTORY, 6, config=config, use_cache=False)
+
+        seeds = (1, 2, 3)
+        with ForecastEngine(max_concurrent_requests=4) as engine:
+            reference = [engine.forecast(request(seed)) for seed in seeds]
+            futures = []
+            for _ in range(4):  # 4 waves x 3 specs submitted concurrently
+                futures.extend(engine.submit(request(seed)) for seed in seeds)
+            responses = [future.result(timeout=120) for future in futures]
+        assert len(responses) == 12
+        for index, response in enumerate(responses):
+            assert response.ok, response.error
+            want = reference[index % len(seeds)]
+            assert (
+                response.output.values.tobytes()
+                == want.output.values.tobytes()
+            )
+            assert (
+                response.output.samples.tobytes()
+                == want.output.samples.tobytes()
+            )
 
 
 class TestEngineServing:
@@ -349,7 +369,7 @@ class TestEngineServing:
             retry=RetryPolicy(max_attempts=3, base_delay=0.001)
         ) as engine:
             response = engine.forecast(ForecastRequest(HISTORY, 4, config=config))
-            assert response.ok and not response.partial
+            assert response.ok
             assert response.attempts >= 2
             assert engine.metrics.counter("request_retries").value >= 2
         # The retried request is bit-identical to one that never failed.
@@ -392,7 +412,7 @@ class TestEngineServing:
         _register("serving-slow", lambda v: _SlowPPM(v, max_order=3))
         config = MultiCastConfig(num_samples=3, model="serving-slow", seed=0)
         with ForecastEngine() as engine:
-            # The deadline cuts the decode short: nothing partial is stored.
+            # The deadline cuts the decode short: the failure is not stored.
             cut = engine.forecast(
                 ForecastRequest(HISTORY, 4, config=config, deadline_seconds=0.1)
             )
@@ -416,6 +436,36 @@ class TestEngineServing:
             assert not response.ok
             assert "deadline" in response.error
             assert engine.metrics.counter("requests_deadline_exceeded").value == 1
+
+    def test_ledger_metrics_read_counters_without_histogram_snapshots(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serving.metrics import Histogram
+
+        snapshots = []
+        real_snapshot = Histogram.snapshot
+
+        def counting_snapshot(histogram):
+            snapshots.append(histogram)
+            return real_snapshot(histogram)
+
+        monkeypatch.setattr(Histogram, "snapshot", counting_snapshot)
+        ledger = tmp_path / "runs.jsonl"
+        config = MultiCastConfig(num_samples=2)
+        with ForecastEngine(ledger=ledger) as engine:
+            engine.forecast(ForecastRequest(HISTORY, 4, config=config))
+            engine.forecast(ForecastRequest(HISTORY, 4, config=config))
+            assert snapshots == []
+            monkeypatch.setattr(Histogram, "snapshot", real_snapshot)
+            counters = {
+                name: instrument["value"]
+                for name, instrument in engine.metrics.snapshot().items()
+                if instrument["type"] == "counter"
+            }
+        first, second = read_ledger(ledger)
+        assert second["metrics"] == counters
+        assert second["metrics"]["cache_hits"] == 1
+        assert first["metrics"]["requests_total"] == 1
 
     def test_metrics_snapshot_includes_stages_and_cache(self):
         with ForecastEngine() as engine:

@@ -39,13 +39,11 @@ MODEL_NAME = "uniform-sim"
 VOCAB = 4096
 
 
-def _spec(seed=0, execution="batched", num_samples=2, horizon=4):
+def _spec(seed=0, num_samples=2, horizon=4):
     config = MultiCastConfig(
         num_samples=num_samples, model=MODEL_NAME, seed=seed
     )
-    return ForecastSpec.from_config(
-        config, series=HISTORY, horizon=horizon, execution=execution
-    )
+    return ForecastSpec.from_config(config, series=HISTORY, horizon=horizon)
 
 
 def _prefilled(prompt):
@@ -252,11 +250,8 @@ def sharded_engine():
         yield engine
 
 
-@pytest.mark.parametrize("execution", ["batched", "continuous"])
-def test_sharded_forecasts_bit_identical_to_in_process(
-    sharded_engine, execution
-):
-    specs = [_spec(seed=seed, execution=execution) for seed in (7, 8, 9)]
+def test_sharded_forecasts_bit_identical_to_in_process(sharded_engine):
+    specs = [_spec(seed=seed) for seed in (7, 8, 9)]
     with ForecastEngine() as engine:
         baseline = [engine.forecast(spec) for spec in specs]
     for spec, expected in zip(specs, baseline):

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.evaluation import diebold_mariano
 from repro.exceptions import DataError
 from repro.tasks import (
-    DetectionScore,
     inject_level_shift,
     inject_point_anomalies,
     inject_regime_change,

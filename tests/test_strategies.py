@@ -4,11 +4,10 @@ Two contracts carry the refactor:
 
 * the ``"default"`` strategy is **bit-identical** to the pre-strategy
   pipeline — pinned below as digest regressions over every scheme ×
-  codec × execution combination, so any drift in the moved code fails
-  loudly, and
+  codec combination, so any drift in the moved code fails loudly, and
 * every new strategy (``patch``, ``decompose``, ``auto``) is
-  deterministic across execution modes ({batched, continuous, sharded})
-  and ingest-cache temperature ({cold, warm}).
+  deterministic across serving paths ({in-process, sharded}) and
+  ingest-cache temperature ({cold, warm}).
 """
 
 import hashlib
@@ -61,7 +60,7 @@ def _digest(output) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _forecast(strategy="default", execution="batched", state_cache=None,
+def _forecast(strategy="default", state_cache=None,
               history=None, horizon=HORIZON, **config_kwargs):
     config = MultiCastConfig(
         num_samples=3, seed=SEED, strategy=strategy, **config_kwargs
@@ -71,7 +70,6 @@ def _forecast(strategy="default", execution="batched", state_cache=None,
         config,
         series=HISTORY if history is None else history,
         horizon=horizon,
-        execution=execution,
     )
     return forecaster.forecast(spec)
 
@@ -90,14 +88,11 @@ class TestDefaultBitIdentity:
     """The default strategy reproduces the pre-refactor pipeline exactly."""
 
     @pytest.mark.parametrize("scheme,use_sax", sorted(_PINNED))
-    @pytest.mark.parametrize("execution", ["batched", "continuous"])
-    def test_pinned_digest(self, scheme, use_sax, execution):
+    def test_pinned_digest(self, scheme, use_sax):
         expected_digest, prompt_tokens, generated_tokens = _PINNED[
             (scheme, use_sax)
         ]
-        output = _forecast(
-            scheme=scheme, sax=SAX if use_sax else None, execution=execution
-        )
+        output = _forecast(scheme=scheme, sax=SAX if use_sax else None)
         assert _digest(output) == expected_digest
         assert output.prompt_tokens == prompt_tokens
         assert output.generated_tokens == generated_tokens
@@ -116,23 +111,19 @@ class TestDefaultBitIdentity:
 
 
 class TestStrategyDeterminism:
-    """patch/decompose/auto: one answer across modes and cache states."""
+    """patch/decompose/auto: one answer across cache states."""
 
     @pytest.mark.parametrize("strategy", ["patch", "decompose", "auto"])
     def test_modes_and_cache_states_bit_identical(self, strategy):
         history = _seasonal_history()
         baseline = _forecast(strategy=strategy, history=history)
-        for execution in ("batched", "continuous"):
-            cache = IngestStateCache()
-            for _ in range(2):  # cold, then warm ingest cache
-                output = _forecast(
-                    strategy=strategy,
-                    execution=execution,
-                    state_cache=cache,
-                    history=history,
-                )
-                assert np.array_equal(output.values, baseline.values)
-                assert np.array_equal(output.samples, baseline.samples)
+        cache = IngestStateCache()
+        for _ in range(2):  # cold, then warm ingest cache
+            output = _forecast(
+                strategy=strategy, state_cache=cache, history=history
+            )
+            assert np.array_equal(output.values, baseline.values)
+            assert np.array_equal(output.samples, baseline.samples)
 
     @pytest.mark.parametrize("strategy", ["patch", "decompose"])
     def test_sharded_matches_in_process(self, strategy):

@@ -118,7 +118,7 @@ class TestSpecTemplateEdgeCases:
 
     def test_replace_revalidates_fields(self):
         with pytest.raises(Exception):
-            ForecastSpec().replace(execution="warp-speed")
+            ForecastSpec().replace(scheme="warp-speed")
 
     def test_template_binds_series_and_horizon(self):
         template = ForecastSpec(num_samples=1)

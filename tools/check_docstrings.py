@@ -31,7 +31,6 @@ DEFAULT_TARGETS = (
     "src/repro/observability",
     "src/repro/llm",
     "src/repro/fuzz",
-    "src/repro/scheduling",
     "src/repro/gateway",
     "src/repro/loadtest",
     "src/repro/sharding",
