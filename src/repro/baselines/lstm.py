@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.estimator import BaseEstimator, positional_shim
+from repro.core.estimator import BaseEstimator
 from repro.exceptions import FittingError
 from repro.scaling import MinMaxScaler, MultivariateScaler
 
@@ -221,23 +221,13 @@ class LSTMForecaster(BaseEstimator):
 
     Defaults follow the paper's grid search: ``hidden_size=128``,
     ``dropout=0.2``, ``epochs=30``, Adam with MSE loss.  All parameters
-    are keyword-only under the Estimator API; legacy positional calls
-    warn.
+    are keyword-only under the Estimator API.
     """
 
     _TEST_PARAMS = (
         {"window": 3, "hidden_size": 4, "epochs": 1, "batch_size": 8},
     )
 
-    @positional_shim(
-        "window",
-        "hidden_size",
-        "dropout",
-        "epochs",
-        "learning_rate",
-        "batch_size",
-        "seed",
-    )
     def __init__(
         self,
         *,

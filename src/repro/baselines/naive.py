@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.estimator import BaseEstimator, positional_shim
+from repro.core.estimator import BaseEstimator
 from repro.exceptions import DataError, FittingError
 
 __all__ = [
@@ -96,7 +96,6 @@ class SeasonalNaiveForecaster(_StoredHistoryEstimator):
 
     _TEST_PARAMS = ({"period": 2},)
 
-    @positional_shim("period")
     def __init__(self, *, period: int) -> None:
         if period < 1:
             raise DataError(f"period must be >= 1, got {period}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.estimator import BaseEstimator, positional_shim
+from repro.core.estimator import BaseEstimator
 from repro.exceptions import FittingError
 
 __all__ = ["VAR", "auto_var"]
@@ -31,13 +31,11 @@ class VAR(BaseEstimator):
     """Vector autoregression of order ``p`` with an intercept.
 
     Call :meth:`fit` with a ``(n, d)`` history, then :meth:`forecast`.
-    ``order`` is keyword-only under the Estimator API; legacy positional
-    calls warn.
+    ``order`` is keyword-only under the Estimator API.
     """
 
     _TEST_PARAMS = ({"order": 1},)
 
-    @positional_shim("order")
     def __init__(self, *, order: int = 1) -> None:
         if order < 1:
             raise FittingError(f"order must be >= 1, got {order}")

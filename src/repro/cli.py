@@ -34,7 +34,6 @@ from repro.core import (
     MultiCastConfig,
     MultiCastForecaster,
     SaxConfig,
-    canonicalize_sampling_options,
 )
 from repro.data import (
     Dataset,
@@ -110,32 +109,16 @@ def _ensure_writable(path: str | None, flag: str) -> None:
 
 
 def _add_samples_argument(parser: argparse.ArgumentParser) -> None:
-    """Add the canonical ``--num-samples`` flag plus its deprecated alias."""
+    """Add the ``--num-samples`` flag."""
     parser.add_argument(
         "--num-samples", dest="num_samples", type=int, default=None,
         help="continuations sampled per forecast (default 5)",
     )
-    parser.add_argument(
-        "--samples", dest="samples_legacy", type=int, default=None,
-        help="deprecated alias of --num-samples",
-    )
 
 
 def _resolve_samples(args, default: int = 5) -> int:
-    """The sample count from ``--num-samples``/``--samples`` (warned alias).
-
-    Alias handling lives in :func:`canonicalize_sampling_options` — the
-    CLI only collects the flags and lets the spec layer warn/reject.
-    """
-    options = {}
-    if args.num_samples is not None:
-        options["num_samples"] = args.num_samples
-    if args.samples_legacy is not None:
-        options["samples"] = args.samples_legacy
-    resolved = canonicalize_sampling_options(
-        options, context="the repro-multicast CLI"
-    )
-    return resolved.get("num_samples", default)
+    """The sample count from ``--num-samples``, else ``default``."""
+    return default if args.num_samples is None else args.num_samples
 
 
 def build_parser() -> argparse.ArgumentParser:

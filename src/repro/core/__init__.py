@@ -2,12 +2,7 @@
 
 from repro.core.aggregation import AGGREGATION_METHODS, aggregate_samples
 from repro.core.config import PROMPT_STRATEGIES, MultiCastConfig, SaxConfig
-from repro.core.estimator import (
-    BaseEstimator,
-    Estimator,
-    PerDimension,
-    positional_shim,
-)
+from repro.core.estimator import BaseEstimator, Estimator, PerDimension
 from repro.core.forecaster import MultiCastForecaster
 from repro.core.multiplex import (
     MULTIPLEX_SCHEMES,
@@ -21,7 +16,7 @@ from repro.core.multiplex import (
 )
 from repro.core.output import ForecastOutput
 from repro.core.planning import ForecastPlan, plan_forecast
-from repro.core.spec import ForecastSpec, canonicalize_sampling_options
+from repro.core.spec import ForecastSpec
 from repro.core.timing import STAGES, StageClock
 
 __all__ = [
@@ -29,11 +24,9 @@ __all__ = [
     "SaxConfig",
     "ForecastSpec",
     "PROMPT_STRATEGIES",
-    "canonicalize_sampling_options",
     "Estimator",
     "BaseEstimator",
     "PerDimension",
-    "positional_shim",
     "MultiCastForecaster",
     "StageClock",
     "STAGES",

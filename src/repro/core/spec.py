@@ -18,16 +18,14 @@ Migration (see ``docs/API.md``)::
     response = ForecastEngine().forecast(spec)             # was a ForecastRequest
     result = rolling_origin_evaluation("multicast-di", ds, 12, spec=spec)
 
-The remaining legacy spellings (option aliases, the backtest's loose
-pipeline options) keep working for one release behind shims that emit
-:class:`DeprecationWarning` (the test suite turns those warnings into
-errors for first-party call sites, so internal drift cannot reappear).
+Every setting has exactly one name: the spec's field name.  Legacy
+spellings (``n_samples``/``samples``, the backtest's loose pipeline
+options) are rejected, never rewritten.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -35,46 +33,7 @@ import numpy as np
 from repro.core.config import PROMPT_STRATEGIES, MultiCastConfig, SaxConfig
 from repro.exceptions import ConfigError
 
-__all__ = [
-    "ForecastSpec",
-    "PROMPT_STRATEGIES",
-    "canonicalize_sampling_options",
-]
-
-#: Legacy spellings of canonical sampling fields, accepted-and-warned for
-#: one release (the kwarg-drift cleanup: ``num_samples`` is canonical).
-#: This table is the *only* place aliases live — the CLI, the manifest
-#: loader, sweeps and the estimator adapters all route through
-#: :func:`canonicalize_sampling_options` instead of re-implementing it.
-_FIELD_ALIASES = {"n_samples": "num_samples", "samples": "num_samples"}
-
-
-def canonicalize_sampling_options(options: dict, *, context: str) -> dict:
-    """Rewrite deprecated option aliases (``n_samples``/``samples`` →
-    ``num_samples``).
-
-    Emits a :class:`DeprecationWarning` per alias used; raises
-    :class:`~repro.exceptions.ConfigError` when an alias and its canonical
-    spelling are both present.  ``context`` names the call site in the
-    warning message.  Returns a new dict; the input is not mutated.
-    """
-    resolved = dict(options)
-    for alias, canonical in _FIELD_ALIASES.items():
-        if alias not in resolved:
-            continue
-        if canonical in resolved:
-            raise ConfigError(
-                f"{context} got both {alias!r} and {canonical!r}; "
-                f"use only {canonical!r}"
-            )
-        warnings.warn(
-            f"the {alias!r} option of {context} is deprecated; use "
-            f"{canonical!r} (the canonical ForecastSpec field name)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        resolved[canonical] = resolved.pop(alias)
-    return resolved
+__all__ = ["ForecastSpec", "PROMPT_STRATEGIES"]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -168,15 +127,11 @@ class ForecastSpec:
     def replace(self, **changes) -> "ForecastSpec":
         """A copy with ``changes`` applied (fields re-validated).
 
-        Deprecated aliases are rewritten exactly as in :meth:`create`;
-        anything else that is not a spec field raises
+        Anything that is not a spec field raises
         :class:`~repro.exceptions.ConfigError` naming the offenders, so a
         typo'd knob fails loudly instead of surfacing as a bare
         ``TypeError`` deep inside ``dataclasses.replace``.
         """
-        changes = canonicalize_sampling_options(
-            changes, context="ForecastSpec.replace"
-        )
         valid = {f.name for f in dataclasses.fields(self)}
         unknown = sorted(set(changes) - valid)
         if unknown:
@@ -194,19 +149,6 @@ class ForecastSpec:
         if horizon is not None:
             changes["horizon"] = horizon
         return self.replace(**changes)
-
-    @classmethod
-    def create(cls, **options) -> "ForecastSpec":
-        """Build a spec from keyword options, accepting deprecated aliases.
-
-        The constructor itself is strict; this factory first routes the
-        options through :func:`canonicalize_sampling_options` so manifest
-        loaders and CLI paths keep accepting ``n_samples`` (with a
-        :class:`DeprecationWarning`) for one release.
-        """
-        return cls(
-            **canonicalize_sampling_options(options, context="ForecastSpec.create")
-        )
 
     @classmethod
     def from_config(

@@ -41,7 +41,6 @@ from repro.core import (
     MultiCastForecaster,
     SaxConfig,
 )
-from repro.core.spec import canonicalize_sampling_options
 from repro.data import Dataset
 from repro.exceptions import ConfigError
 from repro.metrics import rmse
@@ -76,9 +75,6 @@ class EvalResult:
 
 def _multicast_forecast(scheme):
     def run(history, horizon, seed, **options):
-        options = canonicalize_sampling_options(
-            options, context=f"run_method('multicast-{scheme}')"
-        )
         sax_options = options.pop("sax", None)
         state_cache = options.pop("state_cache", None)
         sax = SaxConfig(**sax_options) if isinstance(sax_options, dict) else sax_options
@@ -90,9 +86,6 @@ def _multicast_forecast(scheme):
 
 
 def _llmtime_forecast(history, horizon, seed, **options):
-    options = canonicalize_sampling_options(
-        options, context="run_method('llmtime')"
-    )
     return LLMTime(seed=seed, **options).forecast(history, horizon)
 
 

@@ -406,6 +406,7 @@ class ForecastGateway:
                 "sax": request.config.sax is not None,
                 "model": request.config.model,
                 "horizon": int(request.horizon),
+                "strategy": request.config.strategy,
                 "cache_hit": cache_hit,
                 "attempts": 0,
                 "error": error,

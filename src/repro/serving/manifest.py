@@ -13,9 +13,8 @@ one per series/configuration pair::
       ]
     }
 
-``num_samples`` is the canonical sample-count key (the legacy ``samples``
-spelling is rewritten by the spec layer's shared alias table, with a
-deprecation warning).
+``num_samples`` is the one sample-count key (``samples`` is an unknown key
+like any other typo).
 ``strategy`` picks a prompt strategy (``"patch"``, ``"decompose"``,
 ``"auto"``, ...) and ``patch_length`` sizes the patch strategy's
 aggregation window — both validated by ``MultiCastConfig``.
@@ -36,16 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import MultiCastConfig, SaxConfig
-from repro.core.spec import canonicalize_sampling_options
 from repro.exceptions import ConfigError
 from repro.serving.request import ForecastRequest
 
 __all__ = ["BatchJob", "load_manifest"]
 
 #: manifest key → MultiCastConfig field for the plain pass-throughs.
-#: Only canonical spellings appear here: deprecated aliases (``samples``,
-#: ``n_samples``) are rewritten up front by the spec layer's
-#: ``canonicalize_sampling_options``, the single source of alias truth.
 _CONFIG_KEYS = {
     "scheme": "scheme",
     "digits": "num_digits",
@@ -99,10 +94,6 @@ class BatchJob:
 def _parse_job(index: int, raw: dict) -> BatchJob:
     if not isinstance(raw, dict):
         raise ConfigError(f"job {index} must be an object, got {type(raw).__name__}")
-    # Rewrite deprecated aliases first (warns once per use, rejects
-    # alias + canonical together) so the rest of the parser only ever
-    # sees canonical key names.
-    raw = canonicalize_sampling_options(raw, context=f"manifest job {index}")
     unknown = set(raw) - _JOB_KEYS
     if unknown:
         raise ConfigError(

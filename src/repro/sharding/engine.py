@@ -69,6 +69,11 @@ __all__ = ["ShardedEngine", "ShardFailure"]
 #: How long the constructor waits for each worker's ``ready`` message.
 _START_TIMEOUT_SECONDS = 120.0
 
+#: Workers are always spawned, never forked: ``_handle_death`` respawns
+#: them from the ``shard-io`` thread, and forking a process that has other
+#: threads running copies locks held by those threads.
+_MP_CONTEXT = multiprocessing.get_context("spawn")
+
 
 class ShardFailure(ReproError):
     """A request exhausted its attempts because workers kept dying.
@@ -168,10 +173,6 @@ class ShardedEngine:
         Decode worker processes.  Each runs a full
         :class:`~repro.serving.engine.ForecastEngine`; sizing guidance
         lives in ``docs/SERVING.md`` ("Scaling out").
-    start_method:
-        ``multiprocessing`` start method; ``"spawn"`` (default) is safe
-        alongside the supervisor's threads, ``"fork"`` starts faster on
-        Linux when no other threads are live yet.
     result_cache_entries / ingest_cache_tokens:
         Forwarded to each worker's engine (``0`` disables the respective
         cache, exactly as in-process).
@@ -201,7 +202,6 @@ class ShardedEngine:
         self,
         num_shards: int = 2,
         *,
-        start_method: str = "spawn",
         result_cache_entries: int = 128,
         ingest_cache_tokens: int = 262_144,
         spill_dir: str | None = None,
@@ -236,7 +236,6 @@ class ShardedEngine:
             "chaos_delay_seconds": float(chaos_delay_seconds),
             "ledger": self.ledger is not None,
         }
-        self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()
         self._closed = False
         self._shards = [_Shard(index) for index in range(num_shards)]
@@ -256,8 +255,8 @@ class ShardedEngine:
     # -- lifecycle ------------------------------------------------------------
 
     def _spawn(self, shard: _Shard) -> None:
-        conn, worker_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
+        conn, worker_conn = _MP_CONTEXT.Pipe()
+        process = _MP_CONTEXT.Process(
             target=worker_main,
             args=(self._options, worker_conn),
             name=f"mc-shard-{shard.index}",

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from repro.baselines import available_estimators, estimator_param_names
-from repro.core.spec import ForecastSpec, canonicalize_sampling_options
+from repro.core.spec import ForecastSpec
 from repro.exceptions import ConfigError
 
 __all__ = ["SweepSpec", "Trial", "expand_trials", "KNOB_ALIASES"]
@@ -158,8 +158,8 @@ class SweepSpec:
     space:
         Knob name → iterable of candidate values.  The paper's single
         letter aliases (:data:`KNOB_ALIASES`) and dotted ``sax.*`` keys
-        are accepted for multicast methods; ``n_samples`` is rewritten to
-        ``num_samples`` with the standard deprecation warning.
+        are accepted for multicast methods; any other name must be a
+        canonical field (``n_samples`` raises ``ConfigError``).
     search:
         ``"grid"`` (full cartesian product) or ``"random"``
         (``num_trials`` seeded draws from the product).
@@ -209,16 +209,10 @@ class SweepSpec:
             raise ConfigError(
                 f"unknown sweep method {self.method!r}; available: {known}"
             )
-        space = _normalize_space(
-            canonicalize_sampling_options(
-                dict(self.space), context="SweepSpec space"
-            ),
-            context="SweepSpec.space",
-        )
-        fixed = canonicalize_sampling_options(
-            {_canonicalize_key(str(k)): v for k, v in dict(self.fixed).items()},
-            context="SweepSpec fixed",
-        )
+        space = _normalize_space(dict(self.space), context="SweepSpec.space")
+        fixed = {
+            _canonicalize_key(str(k)): v for k, v in dict(self.fixed).items()
+        }
         overlap = sorted(set(space) & set(fixed))
         if overlap:
             raise ConfigError(

@@ -369,12 +369,11 @@ class TestForecastSpec:
         with pytest.raises(DataError, match="too short"):
             MultiCastForecaster().forecast(short)
 
-    def test_create_warns_on_legacy_alias(self):
-        with pytest.warns(DeprecationWarning, match="ForecastSpec"):
-            spec = ForecastSpec.create(series=_history(), horizon=4, n_samples=2)
-        assert spec.num_samples == 2
+    def test_legacy_alias_rejected(self):
+        with pytest.raises(TypeError, match="n_samples"):
+            ForecastSpec(series=_history(), horizon=4, n_samples=2)
         with pytest.raises(ConfigError, match="n_samples"):
-            ForecastSpec.create(n_samples=2, num_samples=3)
+            ForecastSpec(num_samples=2).replace(n_samples=3)
 
 
 class TestServingIntegration:
@@ -433,6 +432,14 @@ class TestServingIntegration:
             ]))
             with pytest.raises(ConfigError, match="unknown keys.*execution"):
                 load_manifest(path)
+
+    def test_manifest_rejects_samples_alias(self, tmp_path):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps([
+            {"dataset": "gas_rate", "horizon": 4, "samples": 2}
+        ]))
+        with pytest.raises(ConfigError, match="unknown keys.*'samples'"):
+            load_manifest(path)
 
     def test_cli_forecast_reproduces_per_draw_csv(self, tmp_path, capsys):
         out_path = tmp_path / "forecast.csv"

@@ -121,7 +121,6 @@ DOCUMENTS = [
 #: documents show realistic settings; the tests shrink the sample counts.
 SPEEDUPS = [
     ("num_samples=5", "num_samples=2"),
-    ("--samples 5", "--samples 2"),
 ]
 
 

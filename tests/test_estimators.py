@@ -109,17 +109,18 @@ class TestParamsApi:
 
 
 class TestLegacyShims:
-    def test_positional_arima_order_warns_then_matches(self):
-        with pytest.warns(DeprecationWarning, match="Estimator API"):
-            legacy = ARIMA((1, 0, 0))
-        assert legacy.get_params() == ARIMA(order=(1, 0, 0)).get_params()
+    """Legacy spellings fail through the ordinary constructor errors."""
 
-    def test_positional_var_order_warns(self):
-        with pytest.warns(DeprecationWarning, match="Estimator API"):
+    def test_positional_arima_order_rejected(self):
+        with pytest.raises(TypeError):
+            ARIMA((1, 0, 0))
+
+    def test_positional_var_order_rejected(self):
+        with pytest.raises(TypeError):
             VAR(2)
 
-    def test_positional_lstm_args_warn(self):
-        with pytest.warns(DeprecationWarning, match="Estimator API"):
+    def test_positional_lstm_args_rejected(self):
+        with pytest.raises(TypeError):
             LSTMForecaster(4, 8)
 
     def test_keyword_construction_is_silent(self):
@@ -129,18 +130,13 @@ class TestLegacyShims:
             warnings.simplefilter("error")
             GRUForecaster(window=4, hidden_size=8)
 
-    def test_llmtime_config_object_warns(self):
-        from repro.baselines import LLMTimeConfig
+    def test_llmtime_config_object_rejected(self):
+        from repro.baselines import LLMTime, LLMTimeConfig
 
-        with pytest.warns(DeprecationWarning, match="Estimator API"):
-            model = LLMTime_from_config(LLMTimeConfig(num_samples=1))
-        assert model.num_samples == 1
-
-
-def LLMTime_from_config(config):
-    from repro.baselines import LLMTime
-
-    return LLMTime(config)
+        with pytest.raises(TypeError, match="config"):
+            LLMTime(config=LLMTimeConfig(num_samples=1))
+        with pytest.raises(TypeError):
+            LLMTime(LLMTimeConfig(num_samples=1))
 
 
 class TestSeedDeterminism:

@@ -299,6 +299,9 @@ def test_gateway_ledger_records_admission_outcomes(tmp_path):
     ]
     by_admission = {record["admission"]: record for record in records}
     assert set(by_admission) == {"admitted", "coalesced", "quota"}
+    # Engine-written and gateway-written records share one schema.
+    assert len({frozenset(record) for record in records}) == 1
+    assert by_admission["quota"]["strategy"] == "default"
     admitted = by_admission["admitted"]
     assert admitted["tenant"] == "a"
     assert admitted["gateway_queue_wait_seconds"] >= 0

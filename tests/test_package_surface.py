@@ -173,9 +173,10 @@ class TestCliTableAndFigureVariants:
         assert main(["figure", "6", "--num-samples", "2"]) == 0
         assert "sax-w3" in capsys.readouterr().out
 
-    def test_cli_legacy_samples_flag_warns(self, capsys):
+    def test_cli_legacy_samples_flag_rejected(self, capsys):
         from repro.cli import main
 
-        with pytest.warns(DeprecationWarning, match="num_samples"):
-            assert main(["figure", "6", "--samples", "2"]) == 0
-        assert "sax-w3" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "6", "--samples", "2"])
+        assert excinfo.value.code == 2
+        assert "--samples" in capsys.readouterr().err
