@@ -404,7 +404,9 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
     with the same seed-derived generators, asserting exact equality of
     tokens *and* log-probs.  Half the cases prefill the batched side
     through an :class:`~repro.llm.state_cache.IngestStateCache` in split
-    extends while the sequential side ingests the prompt in one go.  Both
+    extends while the sequential side ingests the prompt in one go; each
+    of those prefills must resolve as a brute-force scan of the cache's
+    keys says (same outcome, same matched length).  Both
     sides decode at a temperature drawn from {0, 0.5, 1, 1.7}, and a
     third of cases add top-k or top-p; the two sides run
     :class:`~repro.llm.batch.BatchedDecoder` and
@@ -460,9 +462,15 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
         # checkpoints on the way.
         cache = IngestStateCache()
         cuts = sorted({int(c) for c in rng.integers(1, prompt_length, size=3)})
-        for cut in cuts:
-            model.prefill(prompt[:cut], state_cache=cache)
-        batched_session = model.prefill(prompt, state_cache=cache)
+        for cut in [*cuts, prompt_length]:
+            expected = _scan_lookup(cache, model.name, vocab_size, prompt[:cut])
+            batched_session = model.prefill(prompt[:cut], state_cache=cache)
+            got = (
+                batched_session.outcome,
+                cut - batched_session.ingested_tokens,
+            )
+            if got != expected:
+                return f"{cut}-token prefill resolved as {got}, scan says {expected}"
         if batched_session.outcome != "extend":
             return f"split prefill resolved as {batched_session.outcome!r}"
     decoder = BatchedDecoder(
@@ -487,6 +495,20 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
         if got.log_probs != expected.log_probs:
             return f"stream {index}: batched log-probs differ from sequential"
     return None
+
+
+def _scan_lookup(cache, model_name: str, vocab_size: int, tokens) -> tuple:
+    """``(outcome, matched)`` a lookup must give, by scanning every key."""
+    prompt = tuple(tokens)
+    best = 0
+    for name, vocab, cached in cache.keys():
+        if (name, vocab) != (model_name, vocab_size):
+            continue
+        if cached == prompt:
+            return "fork", len(prompt)
+        if best < len(cached) < len(prompt) and prompt[: len(cached)] == cached:
+            best = len(cached)
+    return ("extend", best) if best else ("miss", 0)
 
 
 # -- family 5: multi-process sharded engine equivalence -----------------------

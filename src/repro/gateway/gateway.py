@@ -361,8 +361,10 @@ class ForecastGateway:
         The ``ingest`` field records ``"coalesced"`` — the follower did no
         ingest of its own (the leader's record carries the real
         miss/extend/fork outcome), and copying the leader's value here
-        would double-count ingest work in ledger audits.
+        would double-count ingest work in ledger audits.  ``strategy`` is
+        the one the leader resolved, so both records of the forecast agree.
         """
+        output = response.output
         self._ledger_append(
             follower.request,
             "coalesced",
@@ -371,6 +373,7 @@ class ForecastGateway:
             cache_hit=response.cache_hit,
             wall_seconds=time.perf_counter() - follower.submitted_at,
             ingest="coalesced",
+            strategy=output.metadata.get("strategy") if output else None,
         )
 
     def _ledger_append(
@@ -383,6 +386,7 @@ class ForecastGateway:
         cache_hit: bool = False,
         wall_seconds: float = 0.0,
         ingest: str | None = None,
+        strategy: str | None = None,
     ) -> None:
         ledger = self.engine.ledger
         if ledger is None:
@@ -406,7 +410,7 @@ class ForecastGateway:
                 "sax": request.config.sax is not None,
                 "model": request.config.model,
                 "horizon": int(request.horizon),
-                "strategy": request.config.strategy,
+                "strategy": strategy or request.config.strategy,
                 "cache_hit": cache_hit,
                 "attempts": 0,
                 "error": error,

@@ -156,22 +156,20 @@ class SimulatedLLM:
         ``"fork"``), a strict-prefix hit forks the cached state and
         advances only the new suffix (``"extend"``), and a miss ingests in
         full; the resulting state is deposited back for future calls.
-        Emits one ``llm:ingest`` span whose ``ingest`` attribute records
-        the outcome and whose ``ingested_tokens`` records the work actually
-        done — which is also all the realtime latency charged.
+        Emits one ``llm:ingest`` span, covering the cache lookup too, whose
+        ``ingest`` attribute records the outcome and whose
+        ``ingested_tokens`` records the work actually done — which is also
+        all the realtime latency charged.
         """
         tracer = NULL_TRACER if tracer is None else tracer
         cache = self.state_cache if state_cache is None else state_cache
         prompt = tuple(int(t) for t in context)
-        lookup = None
-        if cache is not None and cache.enabled:
-            lookup = cache.get(self.name, self.vocab_size, prompt)
-        outcome = "miss" if lookup is None else lookup.outcome
-        with tracer.span(
-            "llm:ingest",
-            context_tokens=len(prompt),
-            ingest=outcome,
-        ) as span:
+        with tracer.span("llm:ingest", context_tokens=len(prompt)) as span:
+            lookup = None
+            if cache is not None and cache.enabled:
+                lookup = cache.get(self.name, self.vocab_size, prompt)
+            outcome = "miss" if lookup is None else lookup.outcome
+            span.set_attribute("ingest", outcome)
             if lookup is not None and lookup.outcome == "fork":
                 model = lookup.model
                 ingested = 0

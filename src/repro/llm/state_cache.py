@@ -29,6 +29,13 @@ the longest cached prefix at or below its length instead of missing
 outright.  This is the serving stack's one prefix cache: every engine,
 sharded worker and backtest prefills through it.
 
+A lookup never scans the cache.  Every strict prefix at least
+:data:`CHECKPOINT_FLOOR` tokens long starts with the query's first
+``CHECKPOINT_FLOOR`` tokens, so entries of that length or more are indexed
+by ``(model preset, vocab size, first 16 tokens)``.  A lookup costs one
+exact probe, one read of the query's head bucket and at most 15 exact
+probes for the shorter prefixes, whatever the number of entries.
+
 Entries are LRU-evicted by total *token* count (not entry count), since a
 prefilled state's memory footprint scales with its prompt length.  An
 optional **spill tier** (``spill=``, duck-typed; see
@@ -75,6 +82,21 @@ def checkpoint_lengths(n: int) -> tuple[int, ...]:
         lengths.append(length)
         length *= 2
     return tuple(lengths)
+
+
+def _as_prompt(tokens: Sequence[int]) -> tuple:
+    """``tokens`` as a key's tuple of ints; a tuple is taken as it is."""
+    if type(tokens) is tuple:
+        return tokens
+    return tuple(int(t) for t in tokens)
+
+
+def _head(key: tuple) -> tuple | None:
+    """The index bucket of a cache key, or ``None`` below the floor."""
+    model_name, vocab_size, prompt = key
+    if len(prompt) < CHECKPOINT_FLOOR:
+        return None
+    return (model_name, vocab_size, prompt[:CHECKPOINT_FLOOR])
 
 
 @dataclass
@@ -127,6 +149,9 @@ class IngestStateCache:
         self._spill_hits = 0
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, LanguageModel] = OrderedDict()
+        # (model, vocab, first CHECKPOINT_FLOOR tokens) -> keys of entries
+        # at least that long; shorter entries are found by exact probes.
+        self._heads: dict[tuple, set[tuple]] = {}
         self._total_tokens = 0
         self._hits = 0
         self._extends = 0
@@ -143,6 +168,32 @@ class IngestStateCache:
     def _key(model_name: str, vocab_size: int, tokens: tuple) -> tuple:
         return (model_name, int(vocab_size), tokens)
 
+    def _longest_strict_prefix(self, key: tuple) -> tuple | None:
+        """Key of the longest cached strict prefix of ``key``'s prompt.
+
+        Caller holds the lock.  Reads the prompt's head bucket, then probes
+        the prefixes shorter than :data:`CHECKPOINT_FLOOR` longest first.
+        """
+        model_name, vocab_size, prompt = key
+        length = len(prompt)
+        best_key = None
+        best_length = 0
+        bucket = self._heads.get(_head(key), ()) if length > CHECKPOINT_FLOOR else ()
+        for cached in bucket:
+            cached_length = len(cached[2])
+            if (
+                best_length < cached_length < length
+                and prompt[:cached_length] == cached[2]
+            ):
+                best_key, best_length = cached, cached_length
+        if best_key is not None:
+            return best_key
+        for cached_length in range(min(length, CHECKPOINT_FLOOR) - 1, 0, -1):
+            short = (model_name, vocab_size, prompt[:cached_length])
+            if short in self._entries:
+                return short
+        return None
+
     def get(
         self, model_name: str, vocab_size: int, tokens: Sequence[int]
     ) -> IngestLookup:
@@ -154,34 +205,25 @@ class IngestStateCache:
         tokens); otherwise the spill tier, when one is attached; otherwise
         a ``"miss"``.  A spill hit is promoted back into the memory tier.
         """
-        prompt = tuple(int(t) for t in tokens)
-        namespace = (model_name, int(vocab_size))
+        prompt = _as_prompt(tokens)
+        key = self._key(model_name, vocab_size, prompt)
         parent = None
         best_length = 0
         with self._lock:
             if not self.enabled:
                 self._misses += 1
                 return IngestLookup(model=None, matched=0, outcome="miss")
-            exact = self._entries.get(self._key(model_name, vocab_size, prompt))
+            exact = self._entries.get(key)
             if exact is not None:
-                self._entries.move_to_end(
-                    self._key(model_name, vocab_size, prompt)
-                )
+                self._entries.move_to_end(key)
                 self._hits += 1
                 self._tokens_saved += len(prompt)
                 return IngestLookup(model=exact, matched=len(prompt), outcome="fork")
-            best_key = None
-            for key in self._entries:
-                cached_tokens = key[2]
-                if (
-                    key[:2] == namespace
-                    and best_length < len(cached_tokens) < len(prompt)
-                    and prompt[: len(cached_tokens)] == cached_tokens
-                ):
-                    best_key, best_length = key, len(cached_tokens)
+            best_key = self._longest_strict_prefix(key)
             if best_key is not None:
                 self._entries.move_to_end(best_key)
                 parent = self._entries[best_key]
+                best_length = len(best_key[2])
                 self._extends += 1
                 self._tokens_saved += best_length
         if parent is not None:
@@ -230,7 +272,7 @@ class IngestStateCache:
         Returns the fully ingested model, which the cache owns (frozen);
         callers must fork before decoding, exactly as after :meth:`put`.
         """
-        prompt = tuple(int(t) for t in tokens)
+        prompt = _as_prompt(tokens)
         if not self.enabled:
             model.reset(prompt)
             return model
@@ -263,7 +305,7 @@ class IngestStateCache:
         spill tier attached, entries this deposit evicts are demoted to it
         (serialized outside the lock) instead of destroyed.
         """
-        prompt = tuple(int(t) for t in tokens)
+        prompt = _as_prompt(tokens)
         if not self.enabled or len(prompt) > self.max_tokens:
             return
         key = self._key(model_name, vocab_size, prompt)
@@ -274,9 +316,18 @@ class IngestStateCache:
                 self._entries[key] = model
                 return
             self._entries[key] = model
+            head = _head(key)
+            if head is not None:
+                self._heads.setdefault(head, set()).add(key)
             self._total_tokens += len(prompt)
             while self._total_tokens > self.max_tokens:
                 evicted_key, evicted_model = self._entries.popitem(last=False)
+                head = _head(evicted_key)
+                if head is not None:
+                    bucket = self._heads[head]
+                    bucket.discard(evicted_key)
+                    if not bucket:
+                        del self._heads[head]
                 self._total_tokens -= len(evicted_key[2])
                 self._evictions += 1
                 if self.spill is not None:
@@ -288,11 +339,17 @@ class IngestStateCache:
         """Drop every entry (hit/extend/miss statistics are kept)."""
         with self._lock:
             self._entries.clear()
+            self._heads.clear()
             self._total_tokens = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def keys(self) -> list[tuple]:
+        """The cached ``(model_name, vocab_size, tokens)`` keys, LRU first."""
+        with self._lock:
+            return list(self._entries)
 
     @property
     def stats(self) -> dict:

@@ -55,17 +55,21 @@ def paa(x: np.ndarray, segment_length: int) -> np.ndarray:
         raise DataError(f"paa expects a 1-D series, got shape {arr.shape}")
     n = arr.size
     k = num_segments(n, segment_length)
+    full = n // segment_length
     coefficients = np.empty(k, dtype=float)
-    for i in range(k):
+    with np.errstate(over="ignore", invalid="ignore"):
+        coefficients[:full] = (
+            arr[: full * segment_length].reshape(full, segment_length).mean(axis=1)
+        )
+        if full < k:
+            coefficients[full] = arr[full * segment_length :].mean()
+    for i in np.flatnonzero(~np.isfinite(coefficients)):
         window = arr[i * segment_length : (i + 1) * segment_length]
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = window.mean()
-        if not np.isfinite(mean) and np.isfinite(window).all():
+        if np.isfinite(window).all():
             # the sum overflowed float64 before the divide; dividing each
             # term first keeps the intermediate in range (the true mean is
             # always <= max|window|, hence representable).
-            mean = float(np.sum(window / window.size))
-        coefficients[i] = mean
+            coefficients[i] = float(np.sum(window / window.size))
     return coefficients
 
 

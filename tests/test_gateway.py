@@ -313,6 +313,8 @@ def test_gateway_ledger_records_admission_outcomes(tmp_path):
     # the admitted record), and not the pre-fix hardcoded None.
     assert coalesced["ingest"] == "coalesced"
     assert by_admission["admitted"]["ingest"] in {"miss", "extend", "fork"}
+    # Both records of the coalesced forecast carry the resolved strategy.
+    assert {admitted["strategy"], coalesced["strategy"]} == {"digit"}
     quota = by_admission["quota"]
     assert quota["outcome"] == "failed"
     assert quota["tenant"] == "a"

@@ -15,9 +15,11 @@ Three layers are covered:
 
 import hashlib
 import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ForecastSpec,
@@ -33,6 +35,8 @@ from repro.llm import (
     PPMLanguageModel,
     get_model,
 )
+from repro.llm.state_cache import checkpoint_lengths
+from repro.observability import Tracer
 
 RNG = np.random.default_rng(42)
 # Extremes pinned at the very start so every backtest window's scaler fit
@@ -218,6 +222,31 @@ class TestSimulatedPrefill:
         assert extended.ingested_tokens == 4
         # The extended state was re-deposited: an exact repeat now forks it.
         assert llm.prefill(prompt + [3, 4, 5, 10]).outcome == "fork"
+
+    def test_traced_prefill_spans_the_lookup(self, monkeypatch):
+        cache = IngestStateCache()
+        tracer = Tracer()
+        llm = get_model("llama2-7b-sim", vocab_size=11, state_cache=cache)
+        open_during_get = []
+        real_get = cache.get
+
+        def get(*args):
+            span = tracer.current_span()
+            open_during_get.append(None if span is None else span.name)
+            return real_get(*args)
+
+        monkeypatch.setattr(cache, "get", get)
+        prompt = [0, 1, 2, 10] * 8
+        for tokens in (prompt, prompt + [3, 4, 5, 10], prompt):
+            llm.prefill(tokens, tracer=tracer)
+        spans = tracer.collector.drain()
+        assert [span.name for span in spans] == ["llm:ingest"] * 3
+        assert [span.attributes["ingest"] for span in spans] == [
+            "miss",
+            "extend",
+            "fork",
+        ]
+        assert open_during_get == ["llm:ingest"] * 3
 
     def test_session_context_mismatch_is_an_error(self):
         llm = get_model("llama2-7b-sim", vocab_size=11)
@@ -428,3 +457,116 @@ class TestIngestCheckpoints:
             shorter.model.next_distribution(),
             fresh.model.next_distribution(),
         )
+
+
+class _ReferenceCache:
+    """The cache's contract as a plain LRU with a linear prefix scan."""
+
+    def __init__(self, max_tokens):
+        self.max_tokens = max_tokens
+        self.keys = OrderedDict()
+        self.stats = dict.fromkeys(
+            ("hits", "extends", "misses", "evictions", "tokens_saved"), 0
+        )
+
+    def get(self, name, vocab_size, prompt):
+        key = (name, vocab_size, prompt)
+        if self.max_tokens and key in self.keys:
+            self.keys.move_to_end(key)
+            self.stats["hits"] += 1
+            self.stats["tokens_saved"] += len(prompt)
+            return "fork", len(prompt)
+        best = None
+        for cached in self.keys:
+            length = len(cached[2])
+            if (
+                cached[:2] == key[:2]
+                and 0 < length < len(prompt)
+                and prompt[:length] == cached[2]
+                and (best is None or length > len(best[2]))
+            ):
+                best = cached
+        if best is None:
+            self.stats["misses"] += 1
+            return "miss", 0
+        self.keys.move_to_end(best)
+        self.stats["extends"] += 1
+        self.stats["tokens_saved"] += len(best[2])
+        return "extend", len(best[2])
+
+    def put(self, name, vocab_size, prompt):
+        if not self.max_tokens or len(prompt) > self.max_tokens:
+            return
+        key = (name, vocab_size, prompt)
+        self.keys[key] = None
+        self.keys.move_to_end(key)
+        while sum(len(cached[2]) for cached in self.keys) > self.max_tokens:
+            self.keys.popitem(last=False)
+            self.stats["evictions"] += 1
+
+    def ingest(self, name, vocab_size, prompt):
+        for boundary in checkpoint_lengths(len(prompt)):
+            self.put(name, vocab_size, prompt[:boundary])
+        self.put(name, vocab_size, prompt)
+
+
+#: Namespaces differing by model name and by vocabulary size; tokens stay
+#: below 3 so every prompt is valid in each.
+NAMESPACES = (("m", 3), ("m", 4), ("n", 3))
+
+_OPERATION = st.tuples(
+    st.sampled_from(["put"] * 2 + ["ingest"] * 2 + ["get"] * 4 + ["clear"]),
+    st.sampled_from(NAMESPACES),
+    st.integers(min_value=0, max_value=1),
+    st.one_of(
+        st.integers(min_value=0, max_value=56),
+        st.integers(min_value=14, max_value=18),  # around the index floor
+    ),
+)
+
+
+class TestIndexedLookup:
+    """The head-indexed lookup against a brute-force scan of the keys."""
+
+    @given(
+        max_tokens=st.sampled_from([0, 24, 48, 96, 100_000]),
+        branch=st.integers(min_value=0, max_value=24),
+        tails=st.lists(
+            st.lists(st.integers(0, 2), min_size=56, max_size=56),
+            min_size=2,
+            max_size=2,
+        ),
+        operations=st.lists(_OPERATION, min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_matches_brute_force_scan(
+        self, max_tokens, branch, tails, operations
+    ):
+        # The two token streams share their first ``branch`` tokens, so
+        # heads collide, and part ways below or above the index floor.
+        streams = (tails[0], tails[0][:branch] + tails[1][branch:])
+        cache = IngestStateCache(max_tokens=max_tokens)
+        reference = _ReferenceCache(max_tokens)
+        for operation, (name, vocab_size), stream, length in operations:
+            prompt = tuple(streams[stream][:length])
+            if operation == "clear":
+                cache.clear()
+                reference.keys.clear()
+            elif operation == "put":
+                cache.put(name, vocab_size, prompt, _prefilled(prompt, vocab_size))
+                reference.put(name, vocab_size, prompt)
+            elif operation == "ingest":
+                model = PPMLanguageModel(vocab_size, max_order=4)
+                cache.ingest(name, vocab_size, prompt, model)
+                reference.ingest(name, vocab_size, prompt)
+            else:
+                lookup = cache.get(name, vocab_size, list(prompt))
+                expected = reference.get(name, vocab_size, prompt)
+                assert (lookup.outcome, lookup.matched) == expected
+            assert cache.keys() == list(reference.keys)
+            stats = cache.stats
+            assert {key: stats[key] for key in reference.stats} == reference.stats
+            assert stats["entries"] == len(reference.keys)
+            assert stats["total_tokens"] == sum(
+                len(key[2]) for key in reference.keys
+            )

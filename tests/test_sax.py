@@ -332,3 +332,42 @@ class TestPaaEdgeCases:
             [x[i : i + 5].mean() for i in range(0, 23, 5)]
         )
         np.testing.assert_array_equal(coefficients, expected)
+
+
+def _paa_per_window(x: np.ndarray, segment_length: int) -> np.ndarray:
+    """Reference PAA: one plain mean per window, divide-first on overflow."""
+    means = []
+    for start in range(0, x.size, segment_length):
+        window = x[start : start + segment_length]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = window.mean()
+        if not np.isfinite(mean) and np.isfinite(window).all():
+            mean = np.sum(window / window.size)
+        means.append(mean)
+    return np.array(means, dtype=float)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(min_value=1.6e308, max_value=1.7976931348623157e308),
+            st.floats(min_value=-1.7976931348623157e308, max_value=-1.6e308),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    st.integers(min_value=1, max_value=160),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_paa_matches_per_window_loop_bitwise(xs, segment_length, strided):
+    x = np.asarray(xs, dtype=float)
+    if strided:
+        x = np.repeat(x, 2)[::2]  # a non-contiguous view of the same values
+    got = paa(x, segment_length)
+    expected = _paa_per_window(x, segment_length)
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
