@@ -25,15 +25,24 @@ order share one table without colliding.  The model keeps the ids of the
 current suffixes of length ``1..max_order`` and rolls them forward on each
 token (``id_k' = id_{k-1}·(V+1) + (t+1)``), so :meth:`~PPMLanguageModel.
 advance` and scoring cost O(max_order) integer and dictionary operations
-per token.  :meth:`~PPMLanguageModel.extend` ingests a whole chunk at once:
-it builds every (suffix id, token) pair of the chunk with int64 numpy and
-tallies them in one pass, so prompt ingest is O(n · max_order) array work
-plus one dictionary update per distinct pair, instead of O(n · max_order²)
-element copies into suffix tuples.
+per token.  A context's counts take one of two canonical forms: a context
+whose continuations so far are all one token ``t``, seen ``c`` times, is
+the int ``c·V + t``; only a context with two or more distinct
+continuations holds a ``{token: count}`` dict.  An in-context model mostly
+copies its history, so most contexts are ints, which cost no allocation
+and nothing to copy or garbage-collect.  A second distinct continuation
+promotes the int to a fresh dict.
+
+:meth:`~PPMLanguageModel.extend` ingests a whole chunk at once: it builds
+every (suffix id, token) pair of the chunk with int64 numpy and tallies
+them in one pass, so prompt ingest is O(n · max_order) array work plus one
+table update per distinct pair, instead of O(n · max_order²) element
+copies into suffix tuples.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Sequence
 
@@ -69,11 +78,15 @@ class PPMLanguageModel(LanguageModel):
         Weight left for the uniform distribution after the order-0 escape —
         keeps the model proper and mildly exploratory.
 
-    The continuation counts live in one table, suffix id -> {token: count},
-    shared copy-on-write between a model and its forks: ``_owned`` is
-    ``None`` until the first fork (never-forked models skip the ownership
-    check entirely) and afterwards holds the suffix ids whose count dicts
-    this instance owns; any other entry is copied before its first write.
+    The continuation counts live in one table, suffix id -> entry, where an
+    entry is the int ``count * vocab_size + token`` for a context with one
+    distinct continuation and a ``{token: count}`` dict otherwise.  The
+    table is shared copy-on-write between a model and its forks.  Ints are
+    immutable, so writing one just stores a new int; ``_owned`` covers dict
+    entries only.  It is ``None`` until the first fork (never-forked models
+    skip the ownership check entirely) and afterwards holds the suffix ids
+    whose dicts this instance owns; any other dict is copied before its
+    first write.
     """
 
     def __init__(
@@ -95,7 +108,7 @@ class PPMLanguageModel(LanguageModel):
         # Bulk ingest packs (suffix id, token) into one int64 key; the
         # largest key is below (V+1)^K · V.
         self._bulk = self._radix**max_order * vocab_size <= _INT64_MAX
-        self._table: dict[int, dict[int, int]] = {}
+        self._table: dict[int, int | dict[int, int]] = {}
         self._owned: set[int] | None = None
         self._suffix_ids: list[int] = []
         self._zero_counts = np.zeros(vocab_size, dtype=float)
@@ -136,21 +149,29 @@ class PPMLanguageModel(LanguageModel):
 
     def advance(self, token: int) -> None:
         """Record ``token``'s continuation at every suffix order."""
+        token = operator.index(token)
         self._check_token(token)
         table = self._table
         owned = self._owned
+        size = self.vocab_size
         suffix_ids = self._suffix_ids
         for suffix_id in suffix_ids:
-            counts = table.get(suffix_id)
-            if counts is None:
-                table[suffix_id] = {token: 1}
-                if owned is not None:
+            entry = table.get(suffix_id)
+            if entry is None:
+                table[suffix_id] = size + token
+            elif type(entry) is int:
+                if entry % size == token:
+                    table[suffix_id] = entry + size
+                else:
+                    count, seen = divmod(entry, size)
+                    table[suffix_id] = {seen: count, token: 1}
+                    if owned is not None:
+                        owned.add(suffix_id)
+            else:
+                if owned is not None and suffix_id not in owned:
+                    entry = table[suffix_id] = dict(entry)
                     owned.add(suffix_id)
-                continue
-            if owned is not None and suffix_id not in owned:
-                counts = table[suffix_id] = dict(counts)
-                owned.add(suffix_id)
-            counts[token] = counts.get(token, 0) + 1
+                entry[token] = entry.get(token, 0) + 1
         self._zero_counts[token] += 1.0
         if self.max_order:
             digit = token + 1
@@ -222,14 +243,20 @@ class PPMLanguageModel(LanguageModel):
             suffix_id, token = divmod(key, size)
             entry = table.get(suffix_id)
             if entry is None:
-                table[suffix_id] = {token: n}
-                if owned is not None:
+                table[suffix_id] = n * size + token
+            elif type(entry) is int:
+                if entry % size == token:
+                    table[suffix_id] = entry + n * size
+                else:
+                    count, seen = divmod(entry, size)
+                    table[suffix_id] = {seen: count, token: n}
+                    if owned is not None:
+                        owned.add(suffix_id)
+            else:
+                if owned is not None and suffix_id not in owned:
+                    entry = table[suffix_id] = dict(entry)
                     owned.add(suffix_id)
-                continue
-            if owned is not None and suffix_id not in owned:
-                entry = table[suffix_id] = dict(entry)
-                owned.add(suffix_id)
-            entry[token] = entry.get(token, 0) + n
+                entry[token] = entry.get(token, 0) + n
         zero_counts = self._zero_counts
         for token, n in Counter(values).items():
             zero_counts[token] += n
@@ -249,18 +276,25 @@ class PPMLanguageModel(LanguageModel):
         Python floats round exactly as float64 array elements do, and the
         list avoids a numpy scalar round trip per count."""
         table = self._table
-        result = [0.0] * self.vocab_size
+        size = self.vocab_size
+        result = [0.0] * size
         weight = 1.0
         for suffix_id in reversed(self._suffix_ids):
-            counts = table.get(suffix_id)
-            if not counts:
+            entry = table.get(suffix_id)
+            if entry is None:
                 continue
-            total = sum(counts.values())
-            distinct = len(counts)
-            denom = total + distinct
-            for token, count in counts.items():
+            if type(entry) is int:
+                count, token = divmod(entry, size)
+                denom = count + 1
                 result[token] += weight * count / denom
-            weight *= distinct / denom
+                weight *= 1 / denom
+            else:
+                total = sum(entry.values())
+                distinct = len(entry)
+                denom = total + distinct
+                for token, count in entry.items():
+                    result[token] += weight * count / denom
+                weight *= distinct / denom
             if weight < 1e-12:
                 break
         return result, weight

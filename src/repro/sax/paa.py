@@ -68,8 +68,15 @@ def paa(x: np.ndarray, segment_length: int) -> np.ndarray:
         if np.isfinite(window).all():
             # the sum overflowed float64 before the divide; dividing each
             # term first keeps the intermediate in range (the true mean is
-            # always <= max|window|, hence representable).
-            coefficients[i] = float(np.sum(window / window.size))
+            # always <= max|window|, hence representable) unless every
+            # x / n rounds up past max / n.  Then average in units of
+            # max|window|, where no partial sum passes n.
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(np.sum(window / window.size))
+            if not np.isfinite(mean):
+                scale = float(np.max(np.abs(window)))
+                mean = float(np.mean(window / scale)) * scale
+            coefficients[i] = mean
     return coefficients
 
 

@@ -53,7 +53,8 @@ _SUFFIX = ".spill"
 #: Stamp of the pickled model state layout.  Bump it whenever a model's
 #: state attributes change, so entries written before the change miss.
 #: 2: PPM counts in one table keyed by integer suffix id.
-SPILL_FORMAT = 2
+#: 3: a single-continuation PPM context is one int, not a dict.
+SPILL_FORMAT = 3
 
 
 class SpillStore:

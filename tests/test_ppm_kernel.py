@@ -9,6 +9,8 @@
   suffix keys do not fit in int64 (the per-token fallback).
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,130 @@ class TestExtendEqualsAdvance:
         with pytest.raises(GenerationError, match="outside vocabulary"):
             model.extend([0, 1, 2, 7, 3])
         assert _state(model) == _state(_advanced([0, 1, 2], 5, 3))
+
+
+def _recount(history, max_order, vocab_size):
+    """Suffix id -> {token: count}, recounted naively over ``history``."""
+    radix = vocab_size + 1
+    counts = {}
+    for i, token in enumerate(history):
+        suffix_id, scale = 0, 1
+        for k in range(1, min(max_order, i) + 1):
+            suffix_id += (history[i - k] + 1) * scale
+            scale *= radix
+            row = counts.setdefault(suffix_id, {})
+            row[token] = row.get(token, 0) + 1
+    return counts
+
+
+def _assert_canonical(model, history):
+    """An entry is an int exactly when its context has one continuation."""
+    size = model.vocab_size
+    expected = _recount(history, model.max_order, size)
+    assert model._table.keys() == expected.keys()
+    for suffix_id, counts in expected.items():
+        entry = model._table[suffix_id]
+        if len(counts) == 1:
+            assert type(entry) is int, suffix_id
+            ((token, count),) = counts.items()
+            assert divmod(entry, size) == (count, token)
+        else:
+            assert type(entry) is dict and entry == counts, suffix_id
+
+
+class TestCanonicalForm:
+    CASES = [(2, 1), (11, 2), (11, 12), (40, 12)]
+
+    @pytest.mark.parametrize("vocab_size,max_order", CASES)
+    def test_every_ingest_path(self, vocab_size, max_order):
+        rng = np.random.default_rng(vocab_size * max_order)
+        history = _structured_history(rng, vocab_size, 600)
+        reset = PPMLanguageModel(vocab_size, max_order=max_order)
+        reset.reset(history)
+        chunked = PPMLanguageModel(vocab_size, max_order=max_order)
+        for chunk in _random_chunks(rng, history):
+            chunked.extend(chunk)
+        for model in (reset, chunked, _advanced(history, vocab_size, max_order)):
+            _assert_canonical(model, history)
+
+    def test_ingest_cache_and_its_checkpoints(self):
+        rng = np.random.default_rng(5)
+        prompt = _structured_history(rng, 11, 1100)
+        cache = IngestStateCache()
+        model = cache.ingest("m", 11, prompt, PPMLanguageModel(11, max_order=12))
+        _assert_canonical(model, prompt)
+        checkpoint = cache.get("m", 11, prompt[:512])
+        assert checkpoint.outcome == "fork"
+        _assert_canonical(checkpoint.model, prompt[:512])
+        extended = cache.get("m", 11, prompt + prompt[:50])
+        assert extended.outcome == "extend" and extended.matched == len(prompt)
+        extended.model.extend(prompt[:50])
+        _assert_canonical(extended.model, prompt + prompt[:50])
+
+    def test_both_entry_forms_occur(self):
+        history = _structured_history(np.random.default_rng(0), 11, 600)
+        model = PPMLanguageModel(11, max_order=12)
+        model.reset(history)
+        kinds = {type(entry) for entry in model._table.values()}
+        assert kinds == {int, dict}
+
+
+def _transitions(before, after):
+    """Count the entries a write moved int->int, int->dict and dict->dict."""
+    moves = {"int->int": 0, "int->dict": 0, "dict->dict": 0}
+    for suffix_id, old in before.items():
+        new = after[suffix_id]
+        if new == old:
+            continue
+        kind = f"{type(old).__name__}->{type(new).__name__}"
+        moves[kind] += 1
+    return moves
+
+
+class TestCopyOnWriteIsolation:
+    @pytest.mark.parametrize("path", ["advance", "extend"])
+    def test_fork_writes_never_reach_the_parent(self, path):
+        rng = np.random.default_rng(17)
+        prompt = _structured_history(rng, 11, 400)
+        tail = _structured_history(rng, 11, 200) + prompt[:100]
+        parent = PPMLanguageModel(11, max_order=12)
+        parent.reset(prompt)
+        table = copy.deepcopy(parent._table)
+        distribution = parent.next_distribution().tobytes()
+        fork = parent.fork()
+        if path == "advance":
+            for token in tail:
+                fork.advance(token)
+        else:
+            for chunk in _random_chunks(rng, tail):
+                fork.extend(chunk)
+        moves = _transitions(table, fork._table)
+        assert all(moves.values()), moves
+        assert parent._table == table
+        assert parent.next_distribution().tobytes() == distribution
+        _assert_canonical(fork, prompt + tail)
+        # And the other way: the parent's own writes leave the fork alone.
+        forked = copy.deepcopy(fork._table)
+        parent.extend(tail[::-1])
+        assert fork._table == forked
+        _assert_canonical(parent, prompt + tail[::-1])
+
+
+class TestNumpyTokens:
+    def test_numpy_ints_leave_the_table_python_ints_leave(self):
+        history = _structured_history(np.random.default_rng(9), 11, 300)
+        model = PPMLanguageModel(11, max_order=12)
+        for token in history:
+            model.advance(np.int64(token))
+        expected = _advanced(history, 11, 12)
+        assert _state(model) == _state(expected)
+        for suffix_id, entry in model._table.items():
+            assert type(suffix_id) is int
+            if type(entry) is dict:
+                assert all(type(token) is int for token in entry)
+            else:
+                assert type(entry) is int
+        assert all(type(suffix_id) is int for suffix_id in model._suffix_ids)
+        # Promotions after numpy-int writes decode like any other entry.
+        model.extend(history[::-1])
+        _assert_canonical(model, history + history[::-1])

@@ -322,6 +322,18 @@ class TestPaaEdgeCases:
             paa(np.full(9, 1.7e308), 4)
             paa(np.array([1.7e308, -1.7e308, 1.7e308]), 3)
 
+    def test_divide_first_overflow_stays_finite(self):
+        # Each max/3 rounds up, so the divide-first sum passes float max;
+        # averaging in units of max|window| keeps the mean finite.
+        import warnings
+
+        top = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(paa(np.full(3, top), 3), [top])
+            mixed = paa(np.array([top, top, top, -top, -top, -top, 1.0]), 3)
+        np.testing.assert_array_equal(mixed, [top, -top, 1.0])
+
     def test_tame_path_bitwise_unchanged(self):
         # The overflow fallback must not perturb ordinary inputs: the
         # coefficient is still the plain numpy window mean, bit for bit.
@@ -335,14 +347,19 @@ class TestPaaEdgeCases:
 
 
 def _paa_per_window(x: np.ndarray, segment_length: int) -> np.ndarray:
-    """Reference PAA: one plain mean per window, divide-first on overflow."""
+    """Reference PAA: one plain mean per window, divide-first on overflow,
+    and in units of the largest magnitude if divide-first overflows too."""
     means = []
     for start in range(0, x.size, segment_length):
         window = x[start : start + segment_length]
         with np.errstate(over="ignore", invalid="ignore"):
             mean = window.mean()
         if not np.isfinite(mean) and np.isfinite(window).all():
-            mean = np.sum(window / window.size)
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = np.sum(window / window.size)
+            if not np.isfinite(mean):
+                scale = np.max(np.abs(window))
+                mean = np.mean(window / scale) * scale
         means.append(mean)
     return np.array(means, dtype=float)
 
