@@ -34,7 +34,7 @@ def _paper_prompt() -> list[int]:
 
     Three digits per value, the row's four values back to back, then a
     separator (id 10), as the ``vi`` scheme serialises the paper's
-    setting: 1560 tokens, past every ingest checkpoint.
+    setting: 1560 tokens.
     """
     values = weather(n=120, seed=15).values
     low, high = values.min(axis=0), values.max(axis=0)
@@ -48,13 +48,13 @@ def _paper_prompt() -> list[int]:
     return tokens
 
 
-@pytest.mark.parametrize("kernel", ["reset", "checkpointed_ingest", "generate_batch"])
+@pytest.mark.parametrize("kernel", ["reset", "miss_ingest", "generate_batch"])
 def test_kernel_ppm_ingest_and_predict(benchmark, kernel):
     """The PPM-12 kernels a paper-setting request runs, one per case.
 
-    ``reset`` ingests the prompt in one chunk; ``checkpointed_ingest`` is
-    the ingest-cache miss path (chunks between doubling checkpoints, one
-    copy-on-write fork deposited per checkpoint); ``generate_batch`` is
+    ``reset`` ingests the prompt in one chunk; ``miss_ingest`` is the
+    ingest-cache miss path, ``SimulatedLLM.prefill`` through a fresh
+    cache (lookup, one-pass ingest, one deposit); ``generate_batch`` is
     one 5-stream, 156-token lockstep decode from a prefilled session under
     the paper's ``vi`` grammar, so it times the masked step and the
     forced separator slots.
@@ -71,11 +71,10 @@ def test_kernel_ppm_ingest_and_predict(benchmark, kernel):
             model = PPMLanguageModel(vocab_size=11, max_order=12)
             model.reset(context)
             return model.next_distribution()
-        if kernel == "checkpointed_ingest":
-            model = IngestStateCache().ingest(
-                llm.name, 11, context, PPMLanguageModel(vocab_size=11, max_order=12)
-            )
-            return model.next_distribution()
+        if kernel == "miss_ingest":
+            miss = llm.prefill(context, state_cache=IngestStateCache())
+            assert miss.outcome == "miss"
+            return miss.model.next_distribution()
         decoder = llm.generate_batch(
             context,
             156,

@@ -442,7 +442,8 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
         )
         constraint = PeriodicPatternConstraint(pattern)
 
-    # Up to 300 tokens, so long prompts cross the 16..256 ingest checkpoints.
+    # Up to 300 tokens, so long prompts cross the 16-token index floor and
+    # extend chunks span many orders.
     prompt_length = int(rng.integers(1, min(300, 8 * max(1, case.num_steps)) + 1))
     prompt = [int(t) for t in rng.integers(0, vocab_size, size=prompt_length)]
     num_streams = 2 + case.seed % 3
@@ -458,8 +459,7 @@ def _check_decode_equivalence(case: FuzzCase) -> str | None:
     if (case.seed // 2) % 2 and prompt_length > 1:
         # Prefill the batched side through an ingest cache in growing
         # pieces: each prefill extends a fork of the previous cached state
-        # (chunked counts on a copy-on-write table) and deposits
-        # checkpoints on the way.
+        # (chunked counts on a copy-on-write table) and deposits it.
         cache = IngestStateCache()
         cuts = sorted({int(c) for c in rng.integers(1, prompt_length, size=3)})
         for cut in [*cuts, prompt_length]:

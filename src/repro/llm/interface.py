@@ -70,10 +70,9 @@ class LanguageModel(ABC):
     def extend(self, tokens: Sequence[int]) -> None:
         """Append every token of ``tokens`` in order, as :meth:`advance` would.
 
-        The ingest paths (prompt reset, cache extension, checkpointed
-        prefill) feed whole chunks through here, so substrates that can
-        count a chunk at once (PPM) override it; the result must equal
-        per-token :meth:`advance`.
+        The ingest paths (prompt reset and cache extension) feed whole
+        chunks through here, so substrates that can count a chunk at once
+        (PPM) override it; the result must equal per-token :meth:`advance`.
         """
         for token in tokens:
             self.advance(int(token))

@@ -180,14 +180,10 @@ class SimulatedLLM:
                 cache.put(self.name, self.vocab_size, prompt, model)
             else:
                 model = self.spec.factory(self.vocab_size)
+                model.reset(prompt)
                 ingested = len(prompt)
                 if cache is not None:
-                    # Deposits doubling-boundary checkpoints along the way,
-                    # so later *shorter* queries of this prompt can extend
-                    # from the longest cached prefix instead of missing.
-                    cache.ingest(self.name, self.vocab_size, prompt, model)
-                else:
-                    model.reset(prompt)
+                    cache.put(self.name, self.vocab_size, prompt, model)
             span.set_attribute("ingested_tokens", ingested)
             self._sleep(ingested, 0)
         return PrefilledSession(

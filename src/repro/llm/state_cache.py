@@ -22,16 +22,18 @@ Lookups resolve three ways:
 
 In-context states cannot be *rewound*: a model prefilled on a long prompt
 is useless for a strictly shorter query, even though that query is a
-prefix of what was ingested.  :meth:`IngestStateCache.ingest` therefore
-deposits **checkpoints** while it ingests — frozen snapshots at doubling
-token boundaries (16, 32, 64, ...) — so a later shorter query resolves to
-the longest cached prefix at or below its length instead of missing
-outright.  This is the serving stack's one prefix cache: every engine,
-sharded worker and backtest prefills through it.
+prefix of what was ingested, so such a query misses.  A miss deposits only
+the full prompt.  Snapshots at doubling lengths would let a shorter query
+extend instead, but no served workload sends one (zero-shot prompts are
+distinct; backtest windows extend their predecessor's full prompt), and
+on a 1,200-token zero-shot miss they cost about 2,000 more cached tokens
+and 2.8 ms more CPU.
+This is the serving stack's one prefix cache: every engine, sharded
+worker and backtest prefills through it.
 
 A lookup never scans the cache.  Every strict prefix at least
-:data:`CHECKPOINT_FLOOR` tokens long starts with the query's first
-``CHECKPOINT_FLOOR`` tokens, so entries of that length or more are indexed
+:data:`INDEX_FLOOR` tokens long starts with the query's first
+``INDEX_FLOOR`` tokens, so entries of that length or more are indexed
 by ``(model preset, vocab size, first 16 tokens)``.  A lookup costs one
 exact probe, one read of the query's head bucket and at most 15 exact
 probes for the shorter prefixes, whatever the number of entries.
@@ -62,26 +64,11 @@ from dataclasses import dataclass
 from repro.exceptions import ConfigError
 from repro.llm.interface import LanguageModel
 
-__all__ = ["IngestLookup", "IngestStateCache", "checkpoint_lengths"]
+__all__ = ["IngestLookup", "IngestStateCache"]
 
-#: Shortest prefix worth snapshotting during ingest; below this the ingest
-#: is cheaper than the bookkeeping.
-CHECKPOINT_FLOOR = 16
-
-
-def checkpoint_lengths(n: int) -> tuple[int, ...]:
-    """Doubling snapshot boundaries strictly below ``n``.
-
-    ``(16, 32, 64, ...)`` up to (excluding) ``n`` — O(log n) checkpoints
-    that guarantee any future prefix query of length ``q >= 16`` finds a
-    cached state covering at least ``q // 2`` tokens.
-    """
-    lengths = []
-    length = CHECKPOINT_FLOOR
-    while length < n:
-        lengths.append(length)
-        length *= 2
-    return tuple(lengths)
+#: Length of the head that indexes entries; shorter entries are found by
+#: exact probes instead.
+INDEX_FLOOR = 16
 
 
 def _as_prompt(tokens: Sequence[int]) -> tuple:
@@ -94,9 +81,9 @@ def _as_prompt(tokens: Sequence[int]) -> tuple:
 def _head(key: tuple) -> tuple | None:
     """The index bucket of a cache key, or ``None`` below the floor."""
     model_name, vocab_size, prompt = key
-    if len(prompt) < CHECKPOINT_FLOOR:
+    if len(prompt) < INDEX_FLOOR:
         return None
-    return (model_name, vocab_size, prompt[:CHECKPOINT_FLOOR])
+    return (model_name, vocab_size, prompt[:INDEX_FLOOR])
 
 
 @dataclass
@@ -149,7 +136,7 @@ class IngestStateCache:
         self._spill_hits = 0
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, LanguageModel] = OrderedDict()
-        # (model, vocab, first CHECKPOINT_FLOOR tokens) -> keys of entries
+        # (model, vocab, first INDEX_FLOOR tokens) -> keys of entries
         # at least that long; shorter entries are found by exact probes.
         self._heads: dict[tuple, set[tuple]] = {}
         self._total_tokens = 0
@@ -172,13 +159,13 @@ class IngestStateCache:
         """Key of the longest cached strict prefix of ``key``'s prompt.
 
         Caller holds the lock.  Reads the prompt's head bucket, then probes
-        the prefixes shorter than :data:`CHECKPOINT_FLOOR` longest first.
+        the prefixes shorter than :data:`INDEX_FLOOR` longest first.
         """
         model_name, vocab_size, prompt = key
         length = len(prompt)
         best_key = None
         best_length = 0
-        bucket = self._heads.get(_head(key), ()) if length > CHECKPOINT_FLOOR else ()
+        bucket = self._heads.get(_head(key), ()) if length > INDEX_FLOOR else ()
         for cached in bucket:
             cached_length = len(cached[2])
             if (
@@ -188,7 +175,7 @@ class IngestStateCache:
                 best_key, best_length = cached, cached_length
         if best_key is not None:
             return best_key
-        for cached_length in range(min(length, CHECKPOINT_FLOOR) - 1, 0, -1):
+        for cached_length in range(min(length, INDEX_FLOOR) - 1, 0, -1):
             short = (model_name, vocab_size, prompt[:cached_length])
             if short in self._entries:
                 return short
@@ -249,47 +236,6 @@ class IngestStateCache:
         with self._lock:
             self._misses += 1
         return IngestLookup(model=None, matched=0, outcome="miss")
-
-    def ingest(
-        self,
-        model_name: str,
-        vocab_size: int,
-        tokens: Sequence[int],
-        model: LanguageModel,
-    ) -> LanguageModel:
-        """Ingest ``tokens`` into a *fresh* ``model``, depositing checkpoints.
-
-        The miss-path counterpart of :meth:`get`: the prompt is ingested in
-        full (bit-identical to ``model.reset(tokens)`` — ``extend`` after
-        a prefix ``reset`` is the same contract the extend path already
-        relies on), but frozen snapshots are deposited
-        at :func:`checkpoint_lengths` boundaries along the way, plus the
-        full prompt.  A later query for any *shorter* prefix of this
-        prompt then resolves to the longest cached checkpoint at or below
-        its length — previously such queries missed outright, because an
-        end state cannot serve a shorter prefix.
-
-        Returns the fully ingested model, which the cache owns (frozen);
-        callers must fork before decoding, exactly as after :meth:`put`.
-        """
-        prompt = _as_prompt(tokens)
-        if not self.enabled:
-            model.reset(prompt)
-            return model
-        cursor = 0
-        for boundary in checkpoint_lengths(len(prompt)):
-            if cursor == 0:
-                model.reset(prompt[:boundary])
-            else:
-                model.extend(prompt[cursor:boundary])
-            cursor = boundary
-            self.put(model_name, vocab_size, prompt[:boundary], model.fork())
-        if cursor == 0:
-            model.reset(prompt)
-        else:
-            model.extend(prompt[cursor:])
-        self.put(model_name, vocab_size, prompt, model)
-        return model
 
     def put(
         self,

@@ -16,7 +16,7 @@ package scales *out* instead of up:
   so repeated specs keep landing on their cache-warm worker.
 * :class:`SpillStore` — the on-disk tier of the two-tier ingest store: a
   shared, size-bounded, corruption-tolerant directory of serialized
-  prefill checkpoints that in-memory
+  prefilled states that in-memory
   :class:`~repro.llm.state_cache.IngestStateCache` eviction demotes into,
   letting prefill state survive worker restarts and migrate across
   shards.

@@ -14,10 +14,9 @@ worker restart loses everything.  :class:`SpillStore` is the second tier
   state's footprint scales with its prompt length, not its entry count),
   with recency tracked by file mtime — loads refresh it.
 
-Lookups never scan the directory: deposits only ever happen at the full
-prompt and at :func:`~repro.llm.state_cache.checkpoint_lengths` doubling
-boundaries, so :meth:`fetch` probes the exact key plus O(log n) prefix
-keys by content digest and stops at the longest hit.
+Lookups never scan the directory: :meth:`fetch` probes the exact key
+plus the O(log n) prefixes at doubling lengths (:func:`_checkpoint_lengths`)
+by content digest and stops at the longest hit.
 
 Robustness contract: writes are atomic (temp file + ``os.replace``), and
 a load that fails for *any* reason — truncated file from a killed worker,
@@ -44,7 +43,6 @@ from pathlib import Path
 
 from repro.exceptions import ConfigError
 from repro.llm.interface import LanguageModel
-from repro.llm.state_cache import checkpoint_lengths
 
 __all__ = ["SpillStore"]
 
@@ -55,6 +53,16 @@ _SUFFIX = ".spill"
 #: 2: PPM counts in one table keyed by integer suffix id.
 #: 3: a single-continuation PPM context is one int, not a dict.
 SPILL_FORMAT = 3
+
+
+def _checkpoint_lengths(n: int) -> tuple[int, ...]:
+    """Doubling prefix lengths strictly below ``n``: ``(16, 32, 64, ...)``."""
+    lengths = []
+    length = 16
+    while length < n:
+        lengths.append(length)
+        length *= 2
+    return tuple(lengths)
 
 
 class SpillStore:
@@ -207,15 +215,16 @@ class SpillStore:
     ) -> tuple[LanguageModel | None, int]:
         """Longest spilled prefix of ``tokens``: ``(model, matched)`` or ``(None, 0)``.
 
-        Probes the exact prompt first, then each doubling checkpoint
-        boundary longest-first — the only lengths deposits occur at, so no
-        directory scan is needed.  The returned model is a private
+        Probes the exact prompt first, then each doubling prefix length
+        longest-first, so no directory scan is needed.  The memory tier
+        deposits whole prompts only, so a prefix probe hits only a spilled
+        prompt of exactly that length.  The returned model is a private
         instance (freshly deserialized); callers may advance it directly.
         """
         prompt = tuple(int(t) for t in tokens)
         if not self.enabled or not prompt:
             return None, 0
-        lengths = [len(prompt), *reversed(checkpoint_lengths(len(prompt)))]
+        lengths = [len(prompt), *reversed(_checkpoint_lengths(len(prompt)))]
         for matched in lengths:
             model = self._load(model_name, vocab_size, prompt[:matched])
             if model is not None:

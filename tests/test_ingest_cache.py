@@ -35,7 +35,6 @@ from repro.llm import (
     PPMLanguageModel,
     get_model,
 )
-from repro.llm.state_cache import checkpoint_lengths
 from repro.observability import Tracer
 
 RNG = np.random.default_rng(42)
@@ -392,71 +391,60 @@ class TestBacktestExtension:
         assert stats["tokens_saved"] > 0
 
 
-class TestIngestCheckpoints:
-    """Shorter-query-after-longer-deposit: the checkpoint regression."""
+class TestMissDeposit:
+    """A miss ingests in one pass and deposits the full prompt only."""
 
-    def test_checkpoint_lengths_double_below_n(self):
-        from repro.llm.state_cache import checkpoint_lengths
-
-        assert checkpoint_lengths(0) == ()
-        assert checkpoint_lengths(16) == ()
-        assert checkpoint_lengths(17) == (16,)
-        assert checkpoint_lengths(200) == (16, 32, 64, 128)
-
-    def test_shorter_query_after_longer_deposit_extends(self):
+    def test_miss_deposits_exactly_one_entry(self):
         cache = IngestStateCache()
-        prompt = [int(t) for t in RNG.integers(0, 5, size=150)]
-        model = PPMLanguageModel(5, max_order=4)
-        cache.ingest("m", 5, prompt, model)
-        # Previously this query missed outright: only the 150-token end
-        # state was cached, and in-context state cannot be rewound.
-        lookup = cache.get("m", 5, prompt[:100])
-        assert lookup.outcome == "extend"
-        assert lookup.matched == 64  # longest checkpoint at or below 100
-        for token in prompt[lookup.matched : 100]:
-            lookup.model.advance(token)
-        np.testing.assert_array_equal(
-            lookup.model.next_distribution(),
-            _prefilled(prompt[:100]).next_distribution(),
-        )
+        llm = get_model("llama2-7b-sim", vocab_size=5, state_cache=cache)
+        prompt = tuple(int(t) for t in RNG.integers(0, 5, size=150))
+        session = llm.prefill(prompt)
+        assert session.outcome == "miss"
+        assert cache.keys() == [("llama2-7b-sim", 5, prompt)]
+        assert cache.stats["total_tokens"] == len(prompt)
+        assert cache.get("llama2-7b-sim", 5, prompt).model is session.model
 
-    def test_exact_checkpoint_query_forks(self):
-        cache = IngestStateCache()
-        prompt = [int(t) for t in RNG.integers(0, 5, size=70)]
-        cache.ingest("m", 5, prompt, PPMLanguageModel(5, max_order=4))
-        assert cache.get("m", 5, prompt[:32]).outcome == "fork"
-        assert cache.get("m", 5, prompt).outcome == "fork"
-
-    def test_ingest_matches_plain_reset_bitwise(self):
-        cache = IngestStateCache()
-        prompt = [int(t) for t in RNG.integers(0, 5, size=90)]
-        model = cache.ingest("m", 5, prompt, PPMLanguageModel(5, max_order=4))
-        np.testing.assert_array_equal(
-            model.next_distribution(), _prefilled(prompt).next_distribution()
-        )
-
-    def test_disabled_cache_ingest_still_resets(self):
-        cache = IngestStateCache(max_tokens=0)
-        prompt = [0, 1, 2, 3] * 10
-        model = cache.ingest("m", 5, prompt, PPMLanguageModel(5, max_order=4))
-        assert len(cache) == 0
-        np.testing.assert_array_equal(
-            model.next_distribution(), _prefilled(prompt).next_distribution()
-        )
-
-    def test_prefill_then_shorter_prefill_reuses_checkpoint(self):
+    def test_shorter_query_after_longer_deposit_misses(self):
         cache = IngestStateCache()
         llm = get_model("llama2-7b-sim", vocab_size=5, state_cache=cache)
         prompt = [int(t) for t in RNG.integers(0, 5, size=120)]
         assert llm.prefill(prompt).outcome == "miss"
+        # In-context state cannot be rewound, and no shorter state is kept.
         shorter = llm.prefill(prompt[:90])
-        assert shorter.outcome == "extend"
-        assert shorter.ingested_tokens == 90 - 64
+        assert shorter.outcome == "miss"
+        assert shorter.ingested_tokens == 90
         fresh = get_model("llama2-7b-sim", vocab_size=5).prefill(prompt[:90])
         np.testing.assert_array_equal(
             shorter.model.next_distribution(),
             fresh.model.next_distribution(),
         )
+
+    def test_disabled_cache_miss_still_ingests(self):
+        cache = IngestStateCache(max_tokens=0)
+        llm = get_model("llama2-7b-sim", vocab_size=5, state_cache=cache)
+        prompt = [0, 1, 2, 3] * 10
+        session = llm.prefill(prompt)
+        assert session.outcome == "miss" and len(cache) == 0
+        fresh = get_model("llama2-7b-sim", vocab_size=5).prefill(prompt)
+        np.testing.assert_array_equal(
+            session.model.next_distribution(), fresh.model.next_distribution()
+        )
+
+
+class TestIngestCheckpoints:
+    """A miss deposits no checkpoints: its one-pass ingest is a plain reset."""
+
+    def test_ingest_matches_plain_reset_bitwise(self):
+        cache = IngestStateCache()
+        llm = get_model("llama2-7b-sim", vocab_size=5, state_cache=cache)
+        prompt = tuple(int(t) for t in RNG.integers(0, 5, size=90))
+        session = llm.prefill(prompt)
+        assert session.outcome == "miss"
+        np.testing.assert_array_equal(
+            session.model.next_distribution(), _prefilled(prompt).next_distribution()
+        )
+        # No entry at the former checkpoint lengths 16, 32 and 64.
+        assert cache.keys() == [("llama2-7b-sim", 5, prompt)]
 
 
 class _ReferenceCache:
@@ -504,18 +492,13 @@ class _ReferenceCache:
             self.keys.popitem(last=False)
             self.stats["evictions"] += 1
 
-    def ingest(self, name, vocab_size, prompt):
-        for boundary in checkpoint_lengths(len(prompt)):
-            self.put(name, vocab_size, prompt[:boundary])
-        self.put(name, vocab_size, prompt)
-
 
 #: Namespaces differing by model name and by vocabulary size; tokens stay
 #: below 3 so every prompt is valid in each.
 NAMESPACES = (("m", 3), ("m", 4), ("n", 3))
 
 _OPERATION = st.tuples(
-    st.sampled_from(["put"] * 2 + ["ingest"] * 2 + ["get"] * 4 + ["clear"]),
+    st.sampled_from(["put"] * 4 + ["get"] * 4 + ["clear"]),
     st.sampled_from(NAMESPACES),
     st.integers(min_value=0, max_value=1),
     st.one_of(
@@ -555,10 +538,6 @@ class TestIndexedLookup:
             elif operation == "put":
                 cache.put(name, vocab_size, prompt, _prefilled(prompt, vocab_size))
                 reference.put(name, vocab_size, prompt)
-            elif operation == "ingest":
-                model = PPMLanguageModel(vocab_size, max_order=4)
-                cache.ingest(name, vocab_size, prompt, model)
-                reference.ingest(name, vocab_size, prompt)
             else:
                 lookup = cache.get(name, vocab_size, list(prompt))
                 expected = reference.get(name, vocab_size, prompt)

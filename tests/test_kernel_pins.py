@@ -5,8 +5,8 @@ in the paper's setting (``llama2-7b-sim``, 5 samples, ``vi``, horizon 12),
 captured before the PPM kernel moved to integer suffix ids and bulk
 ingest.  Together they cover:
 
-* a 120-row raw-digit request whose 1560-token prompt crosses every
-  ingest checkpoint (16 ... 1024);
+* a 120-row raw-digit request whose 1560-token prompt misses the ingest
+  cache and is counted in one bulk ``extend``;
 * growing backtest windows through a :class:`ForecastEngine`, which take
   the ``miss``, ``extend`` and ``fork`` ingest outcomes in turn;
 * a SAX request.

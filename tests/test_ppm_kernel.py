@@ -6,16 +6,20 @@
 * :meth:`PPMLanguageModel.extend` in random chunks must leave exactly the
   state per-token :meth:`~PPMLanguageModel.advance` leaves, on fresh
   models, across copy-on-write forks, and for vocabularies whose packed
-  suffix keys do not fit in int64 (the per-token fallback).
+  suffix keys do not fit in int64 (the per-token fallback); a Hypothesis
+  property drives the tally through new contexts that split within one
+  chunk, fork chunks that promote shared ints, and chunks whose every
+  context is already present.
 """
 
 import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GenerationError
-from repro.llm import PPMLanguageModel
+from repro.llm import PPMLanguageModel, get_model
 from repro.llm.state_cache import IngestStateCache
 
 
@@ -187,17 +191,31 @@ class TestExtendEqualsAdvance:
         assert _does_not_fit_int64(40, 12)
         assert not _does_not_fit_int64(11, 12)
 
+    def test_cache_miss_then_extend_equals_advance(self):
+        rng = np.random.default_rng(11)
+        prompt = _structured_history(rng, 11, 1100)
+        tail = _structured_history(rng, 11, 90)
+        llm = get_model("llama2-7b-sim", 11, state_cache=IngestStateCache())
+        miss = llm.prefill(prompt)
+        assert miss.outcome == "miss"
+        assert _state(miss.model) == _state(_advanced(prompt, 11, 12))
+        extended = llm.prefill(prompt + tail)
+        assert extended.outcome == "extend"
+        assert _state(extended.model) == _state(_advanced(prompt + tail, 11, 12))
+        _assert_canonical(extended.model, prompt + tail)
+
     def test_checkpointed_ingest_equals_advance(self):
         rng = np.random.default_rng(11)
         prompt = _structured_history(rng, 11, 1100)
-        cache = IngestStateCache()
-        model = cache.ingest("m", 11, prompt, PPMLanguageModel(11, max_order=12))
-        assert _state(model) == _state(_advanced(prompt, 11, 12))
-        checkpoint = cache.get("m", 11, prompt[:512])
-        assert checkpoint.outcome == "fork"
-        assert _state(checkpoint.model) == _state(
-            _advanced(prompt[:512], 11, 12)
+        llm = get_model("llama2-7b-sim", 11, state_cache=IngestStateCache())
+        assert _state(llm.prefill(prompt).model) == _state(
+            _advanced(prompt, 11, 12)
         )
+        # A former checkpoint length is no longer deposited: it misses, and
+        # its one-pass ingest still equals per-token advance.
+        shorter = llm.prefill(prompt[:512])
+        assert shorter.outcome == "miss"
+        assert _state(shorter.model) == _state(_advanced(prompt[:512], 11, 12))
 
     def test_invalid_token_raises_where_advance_would(self):
         model = PPMLanguageModel(5, max_order=3)
@@ -253,15 +271,13 @@ class TestCanonicalForm:
     def test_ingest_cache_and_its_checkpoints(self):
         rng = np.random.default_rng(5)
         prompt = _structured_history(rng, 11, 1100)
-        cache = IngestStateCache()
-        model = cache.ingest("m", 11, prompt, PPMLanguageModel(11, max_order=12))
-        _assert_canonical(model, prompt)
-        checkpoint = cache.get("m", 11, prompt[:512])
-        assert checkpoint.outcome == "fork"
-        _assert_canonical(checkpoint.model, prompt[:512])
-        extended = cache.get("m", 11, prompt + prompt[:50])
-        assert extended.outcome == "extend" and extended.matched == len(prompt)
-        extended.model.extend(prompt[:50])
+        llm = get_model("llama2-7b-sim", 11, state_cache=IngestStateCache())
+        _assert_canonical(llm.prefill(prompt).model, prompt)
+        shorter = llm.prefill(prompt[:512])
+        assert shorter.outcome == "miss"
+        _assert_canonical(shorter.model, prompt[:512])
+        extended = llm.prefill(prompt + prompt[:50])
+        assert extended.outcome == "extend" and extended.ingested_tokens == 50
         _assert_canonical(extended.model, prompt + prompt[:50])
 
     def test_both_entry_forms_occur(self):
@@ -311,6 +327,104 @@ class TestCopyOnWriteIsolation:
         parent.extend(tail[::-1])
         assert fork._table == forked
         _assert_canonical(parent, prompt + tail[::-1])
+
+
+def _chunk_contexts(model, chunk):
+    """Suffix id -> the tokens ``chunk`` records under it, as advance would."""
+    radix = model._radix
+    ids = list(model._suffix_ids)
+    contexts = {}
+    for token in chunk:
+        for suffix_id in ids:
+            contexts.setdefault(suffix_id, []).append(token)
+        if model.max_order:
+            digit = token + 1
+            ids = [digit] + [i * radix + digit for i in ids[: model.max_order - 1]]
+    return contexts
+
+
+NEW_CONTEXT_SPLITS = "a new context gets 3+ continuations, 2+ of them distinct"
+FORK_PROMOTES_INT = "a fork's chunk adds a second token to an int entry"
+ALL_PRESENT = "every context of a chunk is already present"
+
+
+def _tally_cases(model, chunk, forked):
+    """Which of the merge's interesting situations ``chunk`` exercises."""
+    table = model._table
+    contexts = _chunk_contexts(model, chunk)
+    found = set()
+    for suffix_id, tokens in contexts.items():
+        entry = table.get(suffix_id)
+        if entry is None and len(tokens) >= 3 and len(set(tokens)) >= 2:
+            found.add(NEW_CONTEXT_SPLITS)
+        if forked and type(entry) is int:
+            if any(token != entry % model.vocab_size for token in tokens):
+                found.add(FORK_PROMOTES_INT)
+    if contexts and all(suffix_id in table for suffix_id in contexts):
+        found.add(ALL_PRESENT)
+    return found
+
+
+def _sized_chunks(tokens, sizes):
+    chunks, cursor = [], 0
+    while cursor < len(tokens):
+        size = sizes[len(chunks) % len(sizes)]
+        chunks.append(tokens[cursor : cursor + size])
+        cursor += size
+    return chunks
+
+
+@st.composite
+def _tally_inputs(draw, vocab_size):
+    """A noisy motif repeat, a fork point and a cycle of chunk sizes."""
+    motif = draw(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=6))
+    length = draw(st.integers(2, 240))
+    history = (motif * length)[:length]
+    noise = st.tuples(st.integers(0, length - 1), st.integers(0, vocab_size - 1))
+    for position, token in draw(st.lists(noise, max_size=12)):
+        history[position] = token
+    fork_at = draw(st.integers(0, length))
+    sizes = draw(st.lists(st.integers(1, 80), min_size=1, max_size=6))
+    return history, fork_at, sizes
+
+
+def _check_tally(vocab_size, max_order, history, fork_at, sizes):
+    """Chunked extend on a fresh model, then on its fork, equals advance;
+    returns the tally cases the chunks exercised."""
+    found = set()
+    parent = PPMLanguageModel(vocab_size, max_order=max_order)
+    for chunk in _sized_chunks(history[:fork_at], sizes):
+        found |= _tally_cases(parent, chunk, forked=False)
+        parent.extend(chunk)
+    assert _state(parent) == _state(
+        _advanced(history[:fork_at], vocab_size, max_order)
+    )
+    table = copy.deepcopy(parent._table)
+    distribution = parent.next_distribution().tobytes()
+    fork = parent.fork()
+    for chunk in _sized_chunks(history[fork_at:], sizes):
+        found |= _tally_cases(fork, chunk, forked=True)
+        fork.extend(chunk)
+    assert _state(fork) == _state(_advanced(history, vocab_size, max_order))
+    assert parent._table == table
+    assert parent.next_distribution().tobytes() == distribution
+    return found
+
+
+class TestTallyProperty:
+    """The sorted one-pass tally against per-token ``advance``."""
+
+    @pytest.mark.parametrize("vocab_size,max_order", TestCanonicalForm.CASES)
+    def test_chunked_extend_on_fresh_and_forked_models(self, vocab_size, max_order):
+        found = set()
+
+        @given(_tally_inputs(vocab_size))
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        def check(inputs):
+            found.update(_check_tally(vocab_size, max_order, *inputs))
+
+        check()
+        assert found == {NEW_CONTEXT_SPLITS, FORK_PROMOTES_INT, ALL_PRESENT}
 
 
 class TestNumpyTokens:

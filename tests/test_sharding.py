@@ -150,6 +150,15 @@ def test_spill_state_migrates_across_cache_instances(tmp_path):
     assert lookup.matched == len(prompt)
 
 
+def test_checkpoint_lengths_double_below_n():
+    from repro.sharding.spill import _checkpoint_lengths
+
+    assert _checkpoint_lengths(0) == ()
+    assert _checkpoint_lengths(16) == ()
+    assert _checkpoint_lengths(17) == (16,)
+    assert _checkpoint_lengths(200) == (16, 32, 64, 128)
+
+
 def test_spill_fetch_probes_checkpoint_prefixes(tmp_path):
     spill = SpillStore(tmp_path, max_tokens=10_000)
     prompt = tuple(range(200, 264))  # 64 tokens
