@@ -230,11 +230,11 @@ def test_ablation_deseasonalize(benchmark, emit):
 
 
 def test_ablation_backend_families(benchmark, emit):
-    """PPM vs CTW vs recency-PPM vs n-gram as the in-context substrate."""
+    """PPM vs n-gram as the in-context substrate."""
 
     def run():
         rows = []
-        for name in ("llama2-7b-sim", "ctw-sim", "ppm-recency-sim", "ngram-sim"):
+        for name in ("llama2-7b-sim", "ngram-sim"):
             errors = _forecast_rmse(
                 MultiCastConfig(scheme="di", num_samples=5, model=name)
             )

@@ -20,7 +20,7 @@ def test_model_selection_by_perplexity(benchmark, emit):
     def run():
         dataset = gas_rate()
         rows = []
-        for name in ("llama2-7b-sim", "phi2-2.7b-sim", "ppm-recency-sim", "uniform-sim"):
+        for name in ("llama2-7b-sim", "phi2-2.7b-sim", "uniform-sim"):
             rows.append([
                 name,
                 bits_per_token(name, dataset.dimension("GasRate")),

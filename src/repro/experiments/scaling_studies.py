@@ -89,9 +89,7 @@ def context_length_study(
       to match against, so accuracy improves monotonically with budget;
     * **trending** — old history sits at *stale levels*, and the plain PPM
       weighs a 500-step-old match as much as yesterday's, so long contexts
-      actively mislead it.  The recency-weighted PPM (decayed counts — the
-      closest analogue of attention's recency bias) largely repairs the
-      regression, which is why the study reports it alongside.
+      actively mislead it: accuracy regresses as the budget grows.
     """
     if min(budgets) < 16:
         raise ConfigError("context budgets below 16 tokens are meaningless")
@@ -103,7 +101,6 @@ def context_length_study(
     configurations = [
         ("stationary, llama2-sim", 0.0, "llama2-7b-sim"),
         ("trending, llama2-sim", 0.01, "llama2-7b-sim"),
-        ("trending, recency-ppm", 0.01, "ppm-recency-sim"),
     ]
     for label, trend, model in configurations:
         dataset = synthetic_multivariate(
@@ -123,7 +120,7 @@ def context_length_study(
         table.add_row(label, *errors)
     table.notes.append(
         "Stationary data: longer context helps monotonically. Trending "
-        "data: stale-level matches mislead plain PPM; recency weighting "
-        "repairs most of the regression."
+        "data: stale-level matches mislead plain PPM, so longer context "
+        "regresses."
     )
     return table

@@ -38,10 +38,8 @@ from repro.llm.sampling import (
     sample_from_distribution,
     sample_step,
 )
-from repro.llm.ctw import CTWLanguageModel
 from repro.llm.ppm import PPMLanguageModel
 from repro.llm.ngram import NgramBackoffLM, UniformLM
-from repro.llm.recency import RecencyPPMLanguageModel
 from repro.llm.wrappers import ShiftBiasedLM
 from repro.llm.cost import TokenCostModel
 from repro.llm.perplexity import bits_per_token, rank_models_by_perplexity
@@ -69,10 +67,8 @@ __all__ = [
     "child_seeds",
     "child_generators",
     "PPMLanguageModel",
-    "CTWLanguageModel",
     "NgramBackoffLM",
     "UniformLM",
-    "RecencyPPMLanguageModel",
     "ShiftBiasedLM",
     "TokenCostModel",
     "bits_per_token",

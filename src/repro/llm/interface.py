@@ -88,9 +88,9 @@ class LanguageModel(ABC):
         (:class:`repro.llm.batch.BatchedDecoder`) relies on to stay
         deterministic with respect to one-stream decoding.  The base
         implementation simply stacks per-model calls; substrates with a
-        vectorisable scoring tail (PPM, recency PPM, n-gram, uniform,
-        shift-biased) override it to share work across rows, falling back
-        to stacking whenever the batch mixes model types or parameters.
+        vectorisable scoring tail (PPM, n-gram, uniform, shift-biased)
+        override it to share work across rows, falling back to stacking
+        whenever the batch mixes model types or parameters.
         """
         if not models:
             raise GenerationError("next_distribution_batch needs >= 1 model")

@@ -35,11 +35,9 @@ from repro.exceptions import ConfigError, GenerationError
 from repro.llm.batch import BatchedDecoder
 from repro.llm.constraints import Constraint
 from repro.llm.cost import TokenCostModel
-from repro.llm.ctw import CTWLanguageModel
 from repro.llm.interface import GenerationResult, LanguageModel
 from repro.llm.ngram import NgramBackoffLM, UniformLM
 from repro.llm.ppm import PPMLanguageModel
-from repro.llm.recency import RecencyPPMLanguageModel
 from repro.llm.state_cache import IngestStateCache
 from repro.llm.wrappers import ShiftBiasedLM
 from repro.observability.spans import NULL_TRACER
@@ -355,31 +353,6 @@ register_model(
             "Phi-2 stand-in: shallow context (PPM-1), noisy sampling, and a "
             "systematic upward decoding bias; tracks trends but sits 1-2 "
             "units off-scale, roughly doubling RMSE (paper Table III, Fig. 2b)."
-        ),
-    )
-)
-register_model(
-    ModelSpec(
-        name="ctw-sim",
-        factory=lambda v: CTWLanguageModel(v, depth=8),
-        temperature=1.0,
-        cost=TokenCostModel(seconds_per_generated_token=0.5),
-        description=(
-            "Context Tree Weighting: exact Bayesian mixture over all tree "
-            "sources up to depth 8 — the theoretically optimal in-context "
-            "predictor family (lower code length than PPM on noisy streams)."
-        ),
-    )
-)
-register_model(
-    ModelSpec(
-        name="ppm-recency-sim",
-        factory=lambda v: RecencyPPMLanguageModel(v, max_order=12, halflife=400.0),
-        temperature=1.0,
-        cost=TokenCostModel(seconds_per_generated_token=0.5),
-        description=(
-            "Recency-weighted PPM: like the llama2 preset but with "
-            "exponentially decayed counts, tracking regime changes."
         ),
     )
 )

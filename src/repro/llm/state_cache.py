@@ -42,8 +42,8 @@ Entries are LRU-evicted by total *token* count (not entry count), since a
 prefilled state's memory footprint scales with its prompt length.  An
 optional **spill tier** (``spill=``, duck-typed; see
 :class:`repro.sharding.SpillStore`) turns eviction into demotion: evicted
-states are serialized to a shared store, and a lookup that misses both
-memory tiers consults it before reporting a miss — so prefill state
+states are serialized to a shared store, and a lookup that misses memory
+asks it for the exact prompt before reporting a miss — so prefill state
 survives process restarts and migrates across sharded workers.
 
 Thread-safety contract: cached models are **frozen** — :meth:`get` hands
@@ -122,8 +122,8 @@ class IngestStateCache:
     spill:
         Optional second tier (duck-typed; anything with
         ``store(model_name, vocab_size, tokens, model)`` and
-        ``fetch(model_name, vocab_size, tokens) -> (model | None, matched)``
-        — :class:`repro.sharding.SpillStore` is the shipped
+        ``fetch(model_name, vocab_size, tokens) -> model | None`` for the
+        exact prompt — :class:`repro.sharding.SpillStore` is the shipped
         implementation).  Evicted entries are demoted into it, and
         lookups that miss memory consult it before reporting a miss.
     """
@@ -189,8 +189,9 @@ class IngestStateCache:
         Prefers an exact match (``"fork"``); otherwise the *longest* cached
         strict prefix under the same ``(model_name, vocab_size)`` namespace
         (``"extend"``, returning a private fork prefilled to ``matched``
-        tokens); otherwise the spill tier, when one is attached; otherwise
-        a ``"miss"``.  A spill hit is promoted back into the memory tier.
+        tokens); otherwise the exact prompt in the spill tier, when one is
+        attached (``"fork"``, on a private instance); otherwise a
+        ``"miss"``.  A spill hit is promoted back into the memory tier.
         """
         prompt = _as_prompt(tokens)
         key = self._key(model_name, vocab_size, prompt)
@@ -220,19 +221,15 @@ class IngestStateCache:
                 model=parent.fork(), matched=best_length, outcome="extend"
             )
         if self.spill is not None:
-            loaded, matched = self.spill.fetch(model_name, vocab_size, prompt)
+            loaded = self.spill.fetch(model_name, vocab_size, prompt)
             if loaded is not None:
-                outcome = "fork" if matched == len(prompt) else "extend"
                 with self._lock:
-                    if outcome == "fork":
-                        self._hits += 1
-                    else:
-                        self._extends += 1
+                    self._hits += 1
                     self._spill_hits += 1
-                    self._tokens_saved += matched
+                    self._tokens_saved += len(prompt)
                 # Promote: the next lookup for this prompt should hit memory.
-                self.put(model_name, vocab_size, prompt[:matched], loaded.fork())
-                return IngestLookup(model=loaded, matched=matched, outcome=outcome)
+                self.put(model_name, vocab_size, prompt, loaded.fork())
+                return IngestLookup(model=loaded, matched=len(prompt), outcome="fork")
         with self._lock:
             self._misses += 1
         return IngestLookup(model=None, matched=0, outcome="miss")

@@ -14,9 +14,9 @@ worker restart loses everything.  :class:`SpillStore` is the second tier
   state's footprint scales with its prompt length, not its entry count),
   with recency tracked by file mtime — loads refresh it.
 
-Lookups never scan the directory: :meth:`fetch` probes the exact key
-plus the O(log n) prefixes at doubling lengths (:func:`_checkpoint_lengths`)
-by content digest and stops at the longest hit.
+Lookups never scan the directory: :meth:`fetch` probes the exact key by
+content digest.  The memory tier deposits, and so demotes, whole prompts
+only, so no shorter prefix is worth a probe.
 
 Robustness contract: writes are atomic (temp file + ``os.replace``), and
 a load that fails for *any* reason — truncated file from a killed worker,
@@ -53,16 +53,6 @@ _SUFFIX = ".spill"
 #: 2: PPM counts in one table keyed by integer suffix id.
 #: 3: a single-continuation PPM context is one int, not a dict.
 SPILL_FORMAT = 3
-
-
-def _checkpoint_lengths(n: int) -> tuple[int, ...]:
-    """Doubling prefix lengths strictly below ``n``: ``(16, 32, 64, ...)``."""
-    lengths = []
-    length = 16
-    while length < n:
-        lengths.append(length)
-        length *= 2
-    return tuple(lengths)
 
 
 class SpillStore:
@@ -212,28 +202,22 @@ class SpillStore:
 
     def fetch(
         self, model_name: str, vocab_size: int, tokens: Sequence[int]
-    ) -> tuple[LanguageModel | None, int]:
-        """Longest spilled prefix of ``tokens``: ``(model, matched)`` or ``(None, 0)``.
+    ) -> LanguageModel | None:
+        """The spilled model for exactly ``tokens``, or ``None``.
 
-        Probes the exact prompt first, then each doubling prefix length
-        longest-first, so no directory scan is needed.  The memory tier
-        deposits whole prompts only, so a prefix probe hits only a spilled
-        prompt of exactly that length.  The returned model is a private
-        instance (freshly deserialized); callers may advance it directly.
+        The returned model is a private instance (freshly deserialized);
+        callers may advance it directly.
         """
         prompt = tuple(int(t) for t in tokens)
         if not self.enabled or not prompt:
-            return None, 0
-        lengths = [len(prompt), *reversed(_checkpoint_lengths(len(prompt)))]
-        for matched in lengths:
-            model = self._load(model_name, vocab_size, prompt[:matched])
-            if model is not None:
-                with self._lock:
-                    self._hits += 1
-                return model, matched
+            return None
+        model = self._load(model_name, vocab_size, prompt)
         with self._lock:
-            self._misses += 1
-        return None, 0
+            if model is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+        return model
 
     # -- introspection -------------------------------------------------------
 

@@ -1,13 +1,11 @@
-"""Tests for rolling-origin backtesting, the CLI, and the recency PPM."""
+"""Tests for rolling-origin backtesting and the CLI."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.data import gas_rate, synthetic_multivariate
 from repro.evaluation import rolling_origin_evaluation
 from repro.exceptions import ConfigError
-from repro.llm import PPMLanguageModel, RecencyPPMLanguageModel
 
 
 class TestBacktest:
@@ -251,64 +249,3 @@ class TestCli:
             build_parser().parse_args(
                 ["forecast", "--dataset", "gas_rate", "--csv", "x.csv"]
             )
-
-
-class TestRecencyPPM:
-    def test_distribution_proper(self):
-        model = RecencyPPMLanguageModel(vocab_size=5, max_order=3)
-        model.reset([0, 1, 2] * 10)
-        probs = model.next_distribution()
-        assert probs.sum() == pytest.approx(1.0)
-        assert (probs > 0).all()
-
-    def test_learns_a_cycle(self):
-        model = RecencyPPMLanguageModel(vocab_size=5, max_order=4)
-        model.reset([0, 1, 2] * 20)
-        assert model.next_distribution()[0] > 0.8
-
-    def test_adapts_to_regime_change_faster_than_plain_ppm(self):
-        """After a mid-stream switch, decayed counts favour the new regime."""
-        old_regime = [0, 1] * 40
-        new_regime = [0, 2] * 10
-        context = old_regime + new_regime  # ends ... 0 2 0 2; next after 0?
-        recency = RecencyPPMLanguageModel(vocab_size=4, max_order=1, halflife=20.0)
-        plain = PPMLanguageModel(vocab_size=4, max_order=1)
-        recency.reset(context + [0])
-        plain.reset(context + [0])
-        assert recency.next_distribution()[2] > plain.next_distribution()[2]
-
-    def test_long_halflife_converges_to_plain_ppm(self):
-        rng = np.random.default_rng(0)
-        context = rng.integers(0, 4, size=100).tolist()
-        recency = RecencyPPMLanguageModel(vocab_size=4, max_order=3, halflife=1e9)
-        plain = PPMLanguageModel(vocab_size=4, max_order=3)
-        recency.reset(context)
-        plain.reset(context)
-        assert np.allclose(
-            recency.next_distribution(), plain.next_distribution(), atol=1e-6
-        )
-
-    def test_generation_works(self):
-        model = RecencyPPMLanguageModel(vocab_size=5, max_order=4)
-        result = model.generate(
-            [0, 1, 2] * 15, 9, np.random.default_rng(0), temperature=0.0
-        )
-        assert result.tokens == [0, 1, 2] * 3
-
-    def test_invalid_args(self):
-        from repro.exceptions import GenerationError
-
-        with pytest.raises(GenerationError):
-            RecencyPPMLanguageModel(vocab_size=4, halflife=0.0)
-        with pytest.raises(GenerationError):
-            RecencyPPMLanguageModel(vocab_size=4, max_order=-1)
-
-    def test_registered_preset_forecasts(self):
-        from repro.core import ForecastSpec, MultiCastForecaster
-
-        history = synthetic_multivariate(n=100, num_dims=2, seed=0).values
-        spec = ForecastSpec(
-            series=history, horizon=6, model="ppm-recency-sim", num_samples=2
-        )
-        output = MultiCastForecaster().forecast(spec)
-        assert output.values.shape == (6, 2)

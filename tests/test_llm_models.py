@@ -256,18 +256,6 @@ class TestFork:
         assert fork.shift_weight == parent.shift_weight
         assert fork.shift_steps == parent.shift_steps
 
-    def test_ctw_fork_does_not_share_nodes(self):
-        from repro.llm import CTWLanguageModel
-
-        parent = CTWLanguageModel(5, depth=4)
-        parent.reset(_FORK_CONTEXT)
-        fork = parent.fork()
-        assert fork._root is not parent._root
-        assert not (
-            set(id(n) for n in fork._nodes.values())
-            & set(id(n) for n in parent._nodes.values())
-        )
-
     def test_subclasses_fall_back_to_deepcopy_and_keep_their_type(self):
         class Tagged(PPMLanguageModel):
             tag = "subclass-state"

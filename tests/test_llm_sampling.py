@@ -1,12 +1,17 @@
 """Tests for sampling, constraints, cost model, and the model registry."""
 
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.encoding import digit_vocabulary
 from repro.exceptions import ConfigError, GenerationError
 from repro.llm import (
@@ -491,11 +496,41 @@ class TestCostModel:
             TokenCostModel(seconds_per_generated_token=-1.0)
 
 
+_PRESETS = ["llama2-7b-sim", "ngram-sim", "phi2-2.7b-sim", "uniform-sim"]
+
+
 class TestRegistry:
     def test_paper_presets_available(self):
-        names = available_models()
-        assert "llama2-7b-sim" in names
-        assert "phi2-2.7b-sim" in names
+        # Other tests register models of their own, so read the built-in
+        # registry from a fresh interpreter.
+        source_root = Path(repro.__file__).resolve().parents[1]
+        listed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.llm import available_models; "
+                "print(available_models())",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(source_root)},
+        )
+        assert listed.stdout.strip() == repr(_PRESETS)
+        assert set(_PRESETS) <= set(available_models())
+
+    @pytest.mark.parametrize("name", ["ctw-sim", "ppm-recency-sim"])
+    def test_deleted_presets_are_unknown(self, name):
+        with pytest.raises(ConfigError, match=f"unknown model {name!r}") as info:
+            get_model(name, vocab_size=11)
+        for preset in _PRESETS:
+            assert preset in str(info.value)
+
+    def test_deleted_model_classes_do_not_import(self):
+        with pytest.raises(ImportError):
+            from repro.llm import CTWLanguageModel  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.llm import RecencyPPMLanguageModel  # noqa: F401
 
     def test_get_model_instantiates(self):
         model = get_model("llama2-7b-sim", vocab_size=11)

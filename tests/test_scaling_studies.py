@@ -31,7 +31,6 @@ class TestContextLengthStudy:
         labels = [row[0] for row in table.rows]
         assert "stationary, llama2-sim" in labels
         assert "trending, llama2-sim" in labels
-        assert "trending, recency-ppm" in labels
         for row in table.rows:
             assert len(row) == 3
 

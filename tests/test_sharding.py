@@ -109,7 +109,7 @@ def test_spill_store_validates_budget(tmp_path):
     disabled = SpillStore(tmp_path / "off", max_tokens=0)
     assert not disabled.enabled
     disabled.store(MODEL_NAME, VOCAB, (1, 2, 3), _prefilled((1, 2, 3)))
-    assert disabled.fetch(MODEL_NAME, VOCAB, (1, 2, 3)) == (None, 0)
+    assert disabled.fetch(MODEL_NAME, VOCAB, (1, 2, 3)) is None
 
 
 def test_eviction_demotes_into_spill_and_lookup_promotes_back(tmp_path):
@@ -150,22 +150,17 @@ def test_spill_state_migrates_across_cache_instances(tmp_path):
     assert lookup.matched == len(prompt)
 
 
-def test_checkpoint_lengths_double_below_n():
-    from repro.sharding.spill import _checkpoint_lengths
-
-    assert _checkpoint_lengths(0) == ()
-    assert _checkpoint_lengths(16) == ()
-    assert _checkpoint_lengths(17) == (16,)
-    assert _checkpoint_lengths(200) == (16, 32, 64, 128)
-
-
-def test_spill_fetch_probes_checkpoint_prefixes(tmp_path):
+def test_spill_fetch_probes_only_the_exact_prompt(tmp_path):
     spill = SpillStore(tmp_path, max_tokens=10_000)
     prompt = tuple(range(200, 264))  # 64 tokens
     spill.store(MODEL_NAME, VOCAB, prompt[:16], _prefilled(prompt[:16]))
-    model, matched = spill.fetch(MODEL_NAME, VOCAB, prompt)
-    assert model is not None
-    assert matched == 16  # the doubling checkpoint, not a full-prompt hit
+    # A spilled 16-token prefix does not serve the 64-token query...
+    assert spill.fetch(MODEL_NAME, VOCAB, prompt) is None
+    assert spill.stats["misses"] == 1
+    # ...nor, through the cache, does it turn the lookup into an extend.
+    cache = IngestStateCache(max_tokens=1000, spill=spill)
+    assert cache.get(MODEL_NAME, VOCAB, prompt).outcome == "miss"
+    assert spill.fetch(MODEL_NAME, VOCAB, prompt[:16]) is not None
 
 
 def test_corrupt_spill_entry_is_dropped_not_raised(tmp_path):
@@ -174,8 +169,7 @@ def test_corrupt_spill_entry_is_dropped_not_raised(tmp_path):
     spill.store(MODEL_NAME, VOCAB, prompt, _prefilled(prompt))
     path = spill._path(MODEL_NAME, VOCAB, prompt)
     path.write_bytes(b"not a pickle")
-    model, matched = spill.fetch(MODEL_NAME, VOCAB, prompt)
-    assert model is None and matched == 0
+    assert spill.fetch(MODEL_NAME, VOCAB, prompt) is None
     assert spill.stats["corrupt_dropped"] == 1
     assert not path.exists()
 
@@ -212,7 +206,7 @@ def test_spill_entry_in_the_old_layout_misses(tmp_path):
         pickle.loads(pickle.dumps(stale)).next_distribution()
     path = spill._path("llama2-7b-sim", 11, prompt)
     path.write_bytes(pickle.dumps(("llama2-7b-sim", 11, prompt, stale)))
-    assert spill.fetch("llama2-7b-sim", 11, prompt) == (None, 0)
+    assert spill.fetch("llama2-7b-sim", 11, prompt) is None
     assert spill.stats["corrupt_dropped"] == 1
     assert not path.exists()
 
@@ -227,12 +221,11 @@ def test_spill_entry_with_another_format_stamp_misses(tmp_path):
     path = spill._path(MODEL_NAME, VOCAB, prompt)
     header = (spill_module.SPILL_FORMAT - 1, MODEL_NAME, VOCAB, prompt)
     path.write_bytes(pickle.dumps(header) + pickle.dumps(_prefilled(prompt)))
-    assert spill.fetch(MODEL_NAME, VOCAB, prompt) == (None, 0)
+    assert spill.fetch(MODEL_NAME, VOCAB, prompt) is None
     assert spill.stats["corrupt_dropped"] == 1
     # The same entry under the current stamp is served.
     spill.store(MODEL_NAME, VOCAB, prompt, _prefilled(prompt))
-    model, matched = spill.fetch(MODEL_NAME, VOCAB, prompt)
-    assert model is not None and matched == len(prompt)
+    assert spill.fetch(MODEL_NAME, VOCAB, prompt) is not None
 
 
 def test_spill_evicts_oldest_down_to_token_budget(tmp_path):
@@ -246,8 +239,7 @@ def test_spill_evicts_oldest_down_to_token_budget(tmp_path):
     assert stats["evictions"] == 2
     # The newest entry survived.
     newest = tuple(range(3000, 3020))
-    model, matched = spill.fetch(MODEL_NAME, VOCAB, newest)
-    assert model is not None and matched == len(newest)
+    assert spill.fetch(MODEL_NAME, VOCAB, newest) is not None
 
 
 # -- sharded engine: bit-identity ----------------------------------------------
