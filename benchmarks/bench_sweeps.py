@@ -22,6 +22,7 @@ the same contract asserted.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import tempfile
 import time
@@ -143,6 +144,7 @@ def run() -> dict:
             "horizon": HORIZON,
             "num_windows": NUM_WINDOWS,
             "space": {k: list(v) for k, v in FULL_SPACE.items()},
+            "cpu_count": os.cpu_count(),
         },
         "results": measure(FULL_SPACE),
     }

@@ -18,7 +18,8 @@ Every baseline implements the common
 (:mod:`repro.sweeps`) and the adapters treat them uniformly.
 :func:`make_estimator` builds any of them by registry name, wrapping
 univariate models in :class:`~repro.core.estimator.PerDimension` so each
-accepts ``(n, d)`` input.
+accepts ``(n, d)`` input.  ARIMA and exponential smoothing import SciPy
+inside their fits, so importing this package does not load SciPy.
 """
 
 from repro.baselines.arima import ARIMA, auto_arima, kpss_statistic

@@ -24,7 +24,6 @@ knowledge" comparison is realised.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.estimator import BaseEstimator
 from repro.exceptions import FittingError
@@ -230,6 +229,8 @@ class ARIMA(BaseEstimator):
         y: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """Polish the estimates by minimising the conditional sum of squares."""
+        from scipy import optimize
+
         p, q = phi.size, theta.size
 
         def unpack(params: np.ndarray):

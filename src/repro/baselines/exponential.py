@@ -21,7 +21,6 @@ Holt-Winters path is its main consumer.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.estimator import BaseEstimator
 from repro.decomposition.period import estimate_period
@@ -34,6 +33,14 @@ __all__ = [
     "Theta",
     "estimate_period",
 ]
+
+
+def _minimise_on_unit_box(objective, x0: list[float]) -> np.ndarray:
+    """Minimise ``objective`` with L-BFGS-B, each parameter in ``[1e-4, 1]``."""
+    from scipy import optimize
+
+    bounds = [(1e-4, 1.0)] * len(x0)
+    return optimize.minimize(objective, np.array(x0), bounds=bounds, method="L-BFGS-B").x
 
 
 def _validated_series(x: np.ndarray, minimum: int) -> np.ndarray:
@@ -78,6 +85,8 @@ class SimpleExponentialSmoothing(BaseEstimator):
         """Estimate the level (and alpha, when not fixed) from the series."""
         y = _validated_series(x, 3)
         if self.alpha is None:
+            from scipy import optimize
+
             result = optimize.minimize_scalar(
                 lambda a: self._sse(a, y), bounds=(1e-4, 1.0), method="bounded"
             )
@@ -146,13 +155,7 @@ class HoltLinear(BaseEstimator):
         def objective(params: np.ndarray) -> float:
             return self._run(y, params[0], params[1])[2]
 
-        result = optimize.minimize(
-            objective,
-            x0=np.array([0.5, 0.1]),
-            bounds=[(1e-4, 1.0), (1e-4, 1.0)],
-            method="L-BFGS-B",
-        )
-        alpha, beta = result.x
+        alpha, beta = _minimise_on_unit_box(objective, [0.5, 0.1])
         level, trend, _ = self._run(y, alpha, beta)
         self._state = (level, trend)
         self.params = {"alpha": float(alpha), "beta": float(beta)}
@@ -222,13 +225,7 @@ class HoltWinters(BaseEstimator):
         def objective(params: np.ndarray) -> float:
             return self._run(y, *params)[3]
 
-        result = optimize.minimize(
-            objective,
-            x0=np.array([0.3, 0.05, 0.1]),
-            bounds=[(1e-4, 1.0)] * 3,
-            method="L-BFGS-B",
-        )
-        alpha, beta, gamma = result.x
+        alpha, beta, gamma = _minimise_on_unit_box(objective, [0.3, 0.05, 0.1])
         level, trend, seasonal, _ = self._run(y, alpha, beta, gamma)
         self._state = (level, trend, seasonal)
         self._nobs = y.size

@@ -1,17 +1,12 @@
 """Tests for sampling, constraints, cost model, and the model registry."""
 
 import math
-import os
-import subprocess
-import sys
 from bisect import bisect_right
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro
 from repro.encoding import digit_vocabulary
 from repro.exceptions import ConfigError, GenerationError
 from repro.llm import (
@@ -501,23 +496,7 @@ _PRESETS = ["llama2-7b-sim", "ngram-sim", "phi2-2.7b-sim", "uniform-sim"]
 
 class TestRegistry:
     def test_paper_presets_available(self):
-        # Other tests register models of their own, so read the built-in
-        # registry from a fresh interpreter.
-        source_root = Path(repro.__file__).resolve().parents[1]
-        listed = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.llm import available_models; "
-                "print(available_models())",
-            ],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": str(source_root)},
-        )
-        assert listed.stdout.strip() == repr(_PRESETS)
-        assert set(_PRESETS) <= set(available_models())
+        assert available_models() == _PRESETS
 
     @pytest.mark.parametrize("name", ["ctw-sim", "ppm-recency-sim"])
     def test_deleted_presets_are_unknown(self, name):
@@ -550,6 +529,12 @@ class TestRegistry:
         spec = ModelSpec(name="test-overwrite", factory=UniformLM)
         register_model(spec)
         register_model(spec, overwrite=True)
+        assert "test-overwrite" in available_models()
+
+    def test_registry_is_restored_after_each_test(self):
+        """``test_overwrite_allowed_when_explicit`` registered a model; the
+        autouse fixture in ``conftest.py`` removed it again."""
+        assert available_models() == _PRESETS
 
     def test_generation_is_reproducible_with_seeded_rng(self):
         model = get_model("llama2-7b-sim", vocab_size=11)

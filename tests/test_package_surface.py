@@ -1,7 +1,68 @@
 """Tests for the top-level package surface and remaining figure drivers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Imports the serving surface and serves one forecast in process; run with
+#: ``tools/no_scipy`` on ``PYTHONPATH`` so any SciPy import fails.
+_SERVE_WITHOUT_SCIPY = """
+import sys
+
+import repro
+import repro.gateway
+import repro.serving
+import repro.sharding
+import repro.sharding.worker
+from repro import ForecastEngine, ForecastSpec
+from repro.data import synthetic_multivariate
+
+history = synthetic_multivariate(n=40, num_dims=2, seed=0).values
+with ForecastEngine() as engine:
+    response = engine.forecast(ForecastSpec(series=history, horizon=4, num_samples=2))
+assert response.ok, response.error
+assert response.output.values.shape == (4, 2)
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise AssertionError("tools/no_scipy did not block scipy")
+assert "scipy" not in sys.modules
+"""
+
+_FIT_ARIMA = """
+import sys
+
+import numpy as np
+
+from repro import make_estimator
+
+assert "scipy" not in sys.modules
+series = np.cumsum(np.random.default_rng(0).normal(size=(60, 1)), axis=0)
+make_estimator("arima").fit(series)
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def _run_fresh(code: str, *pythonpath: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter with ``pythonpath`` (repo-relative)."""
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in pythonpath)
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestTopLevelApi:
@@ -130,6 +191,19 @@ class TestTopLevelApi:
         assert importlib.util.find_spec("repro.scheduling") is None
         assert "EXECUTION_MODES" not in repro.core.__all__
         assert not hasattr(repro, "ContinuousScheduler")
+
+
+class TestColdStart:
+    """Serving fits nothing, so it never imports SciPy; the fitted
+    baselines import it when they first fit."""
+
+    def test_serving_imports_and_forecasts_with_scipy_blocked(self):
+        result = _run_fresh(_SERVE_WITHOUT_SCIPY, "tools/no_scipy", "src")
+        assert result.returncode == 0, result.stderr
+
+    def test_baseline_fit_imports_scipy(self):
+        result = _run_fresh(_FIT_ARIMA, "src")
+        assert result.returncode == 0, result.stderr
 
 
 class TestRemainingFigures:
